@@ -10,10 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rr_bench::{
-    bench_config, matrix_traces, run_bench_matrix, run_mechanism, run_mechanism_closed_loop,
-    run_mechanism_rate, run_mechanism_with, Mechanism,
+    matrix_traces, run_bench_matrix, run_mechanism, run_mechanism_closed_loop, run_mechanism_rate,
+    Mechanism,
 };
-use rr_sim::replay::ReplayMode;
 use rr_workloads::msrc::MsrcWorkload;
 use rr_workloads::ycsb::YcsbWorkload;
 use std::hint::black_box;
@@ -64,37 +63,6 @@ fn sim_throughput(c: &mut Criterion) {
             || mds.clone(),
             |t| {
                 let r = run_mechanism_rate(Mechanism::PnAr2, &t, 4.0);
-                black_box(r.events_processed)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-
-    // The event-core axis: the same workloads with `hotpath.timing_wheel`
-    // flipped, against the default-heap benches above (results are
-    // bit-identical; only this wall-clock differs).
-    let wheel_cfg = bench_config().with_timing_wheel(true);
-    g.bench_function("open_loop/mds_1/Baseline/wheel", |b| {
-        b.iter_batched(
-            || mds.clone(),
-            |t| {
-                let r =
-                    run_mechanism_with(&wheel_cfg, Mechanism::Baseline, &t, ReplayMode::OpenLoop);
-                black_box(r.events_processed)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("closed_loop/YCSB-C/qd16/wheel", |b| {
-        b.iter_batched(
-            || ycsb.clone(),
-            |t| {
-                let r = run_mechanism_with(
-                    &wheel_cfg,
-                    Mechanism::Baseline,
-                    &t,
-                    ReplayMode::closed_loop(16),
-                );
                 black_box(r.events_processed)
             },
             BatchSize::LargeInput,

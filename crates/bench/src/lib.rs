@@ -30,19 +30,6 @@ pub fn bench_point() -> OperatingPoint {
     OperatingPoint::new(2000.0, 6.0)
 }
 
-/// Runs one mechanism over a trace under an explicit configuration and
-/// replay mode — the heap-vs-wheel axis of the `sim_throughput` group flips
-/// `hotpath.timing_wheel` through this.
-pub fn run_mechanism_with(
-    cfg: &SsdConfig,
-    mechanism: Mechanism,
-    trace: &Trace,
-    mode: ReplayMode,
-) -> SimReport {
-    let rpt = ReadTimingParamTable::default();
-    run_one_with_mode(cfg, mechanism, bench_point(), trace, &rpt, mode)
-}
-
 /// Runs one mechanism over a trace at the benchmark point.
 pub fn run_mechanism(mechanism: Mechanism, trace: &Trace) -> SimReport {
     let cfg = bench_config();
@@ -132,28 +119,5 @@ mod tests {
     fn bench_matrix_parallel_matches_serial() {
         let traces = matrix_traces(120);
         assert_eq!(run_bench_matrix(&traces, 1), run_bench_matrix(&traces, 4));
-    }
-
-    #[test]
-    fn explicit_config_helper_matches_the_defaults() {
-        let trace = YcsbWorkload::C.synthesize(150, 1);
-        let via_helper = run_mechanism_closed_loop(Mechanism::Baseline, &trace, 8);
-        let explicit = run_mechanism_with(
-            &bench_config(),
-            Mechanism::Baseline,
-            &trace,
-            ReplayMode::closed_loop(8),
-        );
-        let wheel = run_mechanism_with(
-            &bench_config().with_timing_wheel(true),
-            Mechanism::Baseline,
-            &trace,
-            ReplayMode::closed_loop(8),
-        );
-        assert_eq!(via_helper, explicit);
-        assert_eq!(
-            explicit, wheel,
-            "wheel diverged from heap in the bench path"
-        );
     }
 }

@@ -60,8 +60,6 @@ fn main() -> ExitCode {
     let mut gc_budget: Option<u32> = None;
     let mut gc_stress = false;
     let mut plot = false;
-    let mut timing_wheel = false;
-    let mut shards = 0u32;
     let mut devices = 1u32;
     let mut placement = rr_sim::array::PlacementPolicy::RoundRobin;
     let mut placement_given = false;
@@ -69,7 +67,6 @@ fn main() -> ExitCode {
     let mut redundancy_given = false;
     let mut fail_device: Option<u32> = None;
     let mut fail_at_us: Option<u64> = None;
-    let mut event_backend = rr_sim::config::EventBackend::Heap;
     let mut csv_dir: Option<String> = None;
     let mut from_image: Option<String> = None;
     let mut out: Option<String> = None;
@@ -225,14 +222,12 @@ fn main() -> ExitCode {
                 gc_budget = Some(v);
             }
             "--plot" => plot = true,
-            "--timing-wheel" => timing_wheel = true,
-            "--shards" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u32>().ok()) else {
-                    eprintln!("--shards requires a non-negative integer value");
-                    return ExitCode::FAILURE;
-                };
-                shards = v;
+            removed @ ("--shards" | "--timing-wheel" | "--event-backend") => {
+                eprintln!(
+                    "{removed} has been removed: the channel-sharded engine and the timing \
+                     wheel were deleted, so every run uses the one serial event engine"
+                );
+                return ExitCode::FAILURE;
             }
             "--devices" => {
                 i += 1;
@@ -288,20 +283,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 fail_at_us = Some(v);
-            }
-            "--event-backend" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("--event-backend requires heap, wheel, or auto");
-                    return ExitCode::FAILURE;
-                };
-                event_backend = match rr_sim::config::EventBackend::parse(v) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("--event-backend: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
             }
             "--gc-stress" => gc_stress = true,
             "--csv" => {
@@ -388,19 +369,6 @@ fn main() -> ExitCode {
         };
     if plot && command != "perf" {
         eprintln!("--plot applies to the perf command only");
-        return ExitCode::FAILURE;
-    }
-    // The sharded engine only backs the evaluation runners; accepting the
-    // flag on characterization commands would silently run them serially.
-    if shards > 0
-        && !matches!(
-            command.as_str(),
-            "fig14" | "fig15" | "matrix" | "sweep-qd" | "sweep-rate" | "perf" | "serve" | "all"
-        )
-    {
-        eprintln!(
-            "--shards applies to fig14, fig15, matrix, sweep-qd, sweep-rate, perf, and serve"
-        );
         return ExitCode::FAILURE;
     }
     // The array layer only backs the evaluation runners and the replay
@@ -510,14 +478,11 @@ fn main() -> ExitCode {
         gc_policy,
         gc_stress,
         plot,
-        timing_wheel,
-        shards,
         devices,
         placement,
         redundancy,
         fail_device,
         fail_at_us,
-        event_backend,
         csv_dir,
         from_image,
         out,
@@ -612,20 +577,17 @@ fn print_help() {
          --gc-budget N  per-policy knob: preemptions per GC job (read-preempt,\n           default 4), tokens per 1 ms window (windowed-tokens, default 8),\n           or the shielded queue index (queue-shield, default 0)\n\
          --gc-stress  run the sweeps on the GC-stress workload (shrunken\n           geometry, write-heavy hot range filling the usable space) so GC\n           contends with host traffic; with --queues 2 every read lands on\n           queue 0 and every write on queue 1\n\
          --plot    for perf: render the BENCH_history.jsonl events/sec\n           trajectory (sparkline + BENCH_trajectory.csv) instead of measuring\n\
-         --timing-wheel  drive simulations from the hierarchical timing-wheel\n           event queue instead of the default binary heap (bit-identical\n           results; see README 'Performance')\n\
-         --shards N  run each device on the channel-sharded engine with up to\n           N worker threads (fig14/fig15/matrix/sweep-qd/sweep-rate/perf/\n           serve; default 0 = serial engine; any N >= 1 produces output\n           byte-identical to --shards 1, and the perf gate keys sharded\n           runs separately from serial ones)\n\
          --devices N  route each trace across an array of N full-footprint\n           replica devices (fig14/sweep-qd/sweep-rate/export/perf/serve;\n           default 1 = byte-identical to the single-device stack) and report\n           array-merged distributions plus per-device tails\n\
          --placement rr|hash|tier  how requests pick a device with\n           --devices N: rr stripes round-robin (default), hash routes by\n           LPN hash, tier sends the hot low-LPN quarter to the first half\n           of the array and hashes the rest over the other half\n\
          --redundancy none|replicate:R|ec:K:N  fan each request out across\n           the array (fig14/sweep-qd/sweep-rate/export/perf, needs\n           --devices >= 2): replicated reads complete at the 1st of R\n           copies, EC reads at the K-th of their stripe fan-out; 'none'\n           (default) is byte-identical to the flag being absent\n\
          --fail-device D --fail-at-us T  kill device D at trace time T:\n           later requests route around it and deterministic rebuild reads\n           land on the survivors; a T beyond the trace horizon is\n           byte-identical to no failure\n\
-         --event-backend heap|wheel|auto  event-queue backend policy\n           (default heap = honor --timing-wheel alone; auto picks the wheel\n           once the per-shard steady-state queue depth crosses the measured\n           crossover; bit-identical results either way)\n\
          --csv DIR for export: write figure + evaluation CSVs into DIR\n\
          --out FILE  for snapshot: write the preconditioned device-image bank\n           (with --gc-stress: the stress image under the GC geometry;\n           otherwise every MSRC/YCSB evaluation footprint)\n\
          --from-image FILE  warm-start fig14/sweep-qd/sweep-rate/export/serve\n           from a snapshot bank instead of preconditioning — stdout is\n           byte-identical; stderr's 'precondition' phase collapses to the\n           file load\n\
          \n\
          perf regression gate: fails below 0.7x the median of the last 10\n\
          comparable archived runs (same --quick/--jobs/--seed/--queue-depth/\n\
-         --rate/--timing-wheel/--shards/--devices/--placement/--redundancy/\n\
+         --rate/--devices/--placement/--redundancy/\n\
          --fail-device+--fail-at-us); engages once 3 comparable runs exist —\n\
          see README 'Perf regression gate'"
     );

@@ -1,0 +1,140 @@
+//! Golden stdout of the `repro` binary: the standard evaluation commands must
+//! print exactly the bytes recorded in `tests/golden/`, and the options of
+//! the removed event engines must fail with a one-line message.
+//!
+//! The golden files pin the simulated results byte for byte, so any change
+//! to them shows up here as a diff. To re-record after an intended output
+//! change, run the release `repro` with the arguments (and stdin) a test
+//! passes and redirect its stdout over that test's file.
+
+use std::io::Write;
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+fn repro(args: &[&str], stdin: Option<&str>) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary starts");
+    {
+        let mut pipe = child.stdin.take().expect("stdin is piped");
+        if let Some(input) = stdin {
+            pipe.write_all(input.as_bytes())
+                .expect("stdin accepts input");
+        }
+    }
+    child.wait_with_output().expect("repro runs to completion")
+}
+
+fn assert_golden(name: &str, args: &[&str], stdin: Option<&str>) {
+    let out = repro(args, stdin);
+    assert!(
+        out.status.success(),
+        "repro {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let actual = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "repro {args:?} stdout differs from {name} at line {}:\n  got:      {:?}\n  expected: {:?}",
+            first + 1,
+            actual.lines().nth(first),
+            expected.lines().nth(first)
+        );
+    }
+}
+
+#[test]
+fn fig14_quick_matches_golden() {
+    assert_golden("fig14_quick.txt", &["fig14", "--quick"], None);
+}
+
+#[test]
+fn sweep_qd_quick_matches_golden() {
+    assert_golden(
+        "sweep_qd_quick.txt",
+        &["sweep-qd", "--quick", "--queue-depth", "1,4"],
+        None,
+    );
+}
+
+#[test]
+fn sweep_rate_quick_matches_golden() {
+    assert_golden(
+        "sweep_rate_quick.txt",
+        &["sweep-rate", "--quick", "--rate", "1,4"],
+        None,
+    );
+}
+
+#[test]
+fn replicated_gc_stress_array_matches_golden() {
+    assert_golden(
+        "gc_array_quick.txt",
+        &[
+            "sweep-qd",
+            "--quick",
+            "--gc-stress",
+            "--devices",
+            "4",
+            "--placement",
+            "hash",
+            "--redundancy",
+            "replicate:2",
+            "--queue-depth",
+            "16",
+        ],
+        None,
+    );
+}
+
+#[test]
+fn serve_quick_matches_golden() {
+    assert_golden(
+        "serve_quick.txt",
+        &["serve", "--quick"],
+        Some("mds_1 PnAR2 8\nmds_1 Baseline 4\nquit\n"),
+    );
+}
+
+#[test]
+fn removed_engine_options_fail_with_one_line() {
+    for args in [
+        &["fig14", "--quick", "--shards", "1"][..],
+        &["fig14", "--quick", "--timing-wheel"][..],
+        &["fig14", "--quick", "--event-backend", "heap"][..],
+    ] {
+        let out = repro(args, None);
+        assert!(!out.status.success(), "repro {args:?} must fail");
+        assert!(out.stdout.is_empty(), "repro {args:?} printed to stdout");
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert_eq!(stderr.lines().count(), 1, "repro {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(args[2]) && stderr.contains("has been removed"),
+            "repro {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn help_no_longer_lists_removed_engine_options() {
+    let out = repro(&["--help"], None);
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).expect("help is UTF-8");
+    for removed in ["--shards", "--timing-wheel", "--event-backend"] {
+        assert!(!help.contains(removed), "--help still lists {removed}");
+    }
+}

@@ -11,8 +11,8 @@ use crate::pso::PsoController;
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
 use rr_sim::array::{
-    route_redundant, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy, Redundancy,
-    RedundancyStats, RedundantRouting,
+    route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy,
+    Redundancy, RedundancyStats, RedundantRouting,
 };
 use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
 use rr_sim::hostq::HostQueueConfig;
@@ -20,7 +20,6 @@ use rr_sim::metrics::{GcStalls, LatencySummary, SimReport};
 use rr_sim::readflow::{BaselineController, RetryController};
 use rr_sim::replay::ReplayMode;
 use rr_sim::request::HostRequest;
-use rr_sim::shard::{run_sharded_queued_from, worker_budget, ShardArena};
 use rr_sim::snapshot::{DeviceImage, ImageBank};
 use rr_sim::ssd::{SimArena, Ssd};
 use rr_workloads::trace::Trace;
@@ -85,9 +84,10 @@ impl Mechanism {
 
     /// Builds the retry controller implementing this mechanism.
     ///
-    /// The controller is `Send` so the sharded engine can move one replica
-    /// onto each channel-core worker thread; the legacy serial engine takes
-    /// the same box unchanged (it coerces to `Box<dyn RetryController>`).
+    /// The controller is `Send` so an array run can build each device's
+    /// replica on the device worker thread that simulates it; a
+    /// single-device run takes the same box unchanged (it coerces to
+    /// `Box<dyn RetryController>`).
     pub fn make_controller(&self, rpt: &ReadTimingParamTable) -> Box<dyn RetryController + Send> {
         match self {
             Mechanism::Baseline | Mechanism::NoRR => Box::new(BaselineController::new()),
@@ -201,45 +201,11 @@ pub fn run_one_queued_from(
     run_one_prepared_queued(arena, &cfg, mechanism, trace, rpt, &front, image)
 }
 
-/// [`run_one_queued_from`] on the channel-sharded engine — the per-query
-/// unit behind `repro serve --shards N`. The long-lived [`ShardArena`]
-/// plays the role `SimArena` plays serially; `shards` resolves to a
-/// worker-thread budget exactly as in the sweep runners, and the answer is
-/// bit-identical for any `shards ≥ 1`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_queued_sharded_from(
-    arena: &mut ShardArena,
-    base: &SsdConfig,
-    mechanism: Mechanism,
-    point: OperatingPoint,
-    trace: &Trace,
-    rpt: &ReadTimingParamTable,
-    setup: &QueueSetup,
-    queue_depth: u32,
-    image: Option<&DeviceImage>,
-    shards: u32,
-) -> SimReport {
-    let cfg = prepared_config(base, point, mechanism.is_ideal());
-    let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-    run_sharded_queued_from(
-        arena,
-        cfg,
-        &|| mechanism.make_controller(rpt),
-        trace.footprint_pages,
-        &trace.requests,
-        &front,
-        image,
-        worker_budget(shards, 1),
-    )
-    .expect("experiment configuration must be valid")
-}
-
 /// [`run_one_queued_from`] across a device array — the per-query unit
 /// behind `repro serve` with `devices > 1`. `device_traces` is the routed
 /// split of the query's workload (the server caches it per device count),
 /// `images` the per-device warm-start fork from
-/// [`rr_sim::snapshot::ImageBank::fork_for_array`], and `shards` composes
-/// exactly as in the sweep runners (0 = legacy engine per device).
+/// [`rr_sim::snapshot::ImageBank::fork_for_array`].
 ///
 /// # Errors
 ///
@@ -257,15 +223,10 @@ pub fn run_one_queued_array_from(
     setup: &QueueSetup,
     queue_depth: u32,
     images: Option<&[&DeviceImage]>,
-    shards: u32,
 ) -> Result<ArrayReport, ConfigError> {
     let cfg = prepared_config(base, point, mechanism.is_ideal());
     let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
     let devices = set.devices();
-    let shard_workers = match Engine::select(shards, devices as usize) {
-        Engine::Legacy => 0,
-        Engine::Sharded { workers } => workers,
-    };
     let slices: Vec<&[HostRequest]> = device_traces
         .iter()
         .map(|t| t.requests.as_slice())
@@ -277,7 +238,6 @@ pub fn run_one_queued_array_from(
         &slices,
         &front,
         images,
-        shard_workers,
         worker_budget(devices, 1),
     )
 }
@@ -369,96 +329,6 @@ fn run_one_prepared_queued(
         image,
     )
     .expect("experiment configuration must be valid")
-}
-
-/// Which per-cell engine a runner drives: the legacy serial event loop
-/// (`--shards 0`, today's default) or the channel-sharded engine of
-/// [`rr_sim::shard`] with a per-cell worker-thread budget.
-///
-/// Sharded results are invariant to both the shard count and the `--jobs`
-/// level (the engine pins event order structurally, not by thread count),
-/// but they are **not** bit-comparable to `Legacy` output: cross-shard hops
-/// quantize to conservative time windows there. The perf gate therefore
-/// keys on `shards` the same way it keys on `wheel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// The historical serial engine ([`Ssd::run_pooled_queued_from`]).
-    Legacy,
-    /// The channel-sharded engine with this many worker threads per cell.
-    Sharded {
-        /// Worker threads driving the channel cores of one cell.
-        workers: usize,
-    },
-}
-
-impl Engine {
-    /// Resolves the `--shards` × `--jobs` composition: `shards == 0` keeps
-    /// the legacy serial engine; otherwise the host's parallelism is split
-    /// between the `jobs` cell-level workers and each cell gets the
-    /// remainder (at least 1, at most `shards`) as channel-core threads.
-    fn select(shards: u32, jobs: usize) -> Self {
-        if shards == 0 {
-            Engine::Legacy
-        } else {
-            Engine::Sharded {
-                workers: worker_budget(shards, jobs),
-            }
-        }
-    }
-}
-
-/// Per-worker simulation buffers: the legacy serial arena plus the sharded
-/// engine's arena. Whichever engine a run selects, the other arena stays
-/// empty and costs nothing.
-struct Arenas {
-    legacy: SimArena,
-    sharded: ShardArena,
-}
-
-impl Arenas {
-    fn new() -> Self {
-        Self {
-            legacy: SimArena::new(),
-            sharded: ShardArena::new(),
-        }
-    }
-}
-
-/// [`run_one_prepared_queued`] with the engine selectable per run — the
-/// unit of work every engine-aware runner dispatches per worker.
-#[allow(clippy::too_many_arguments)]
-fn run_one_prepared_engine(
-    arenas: &mut Arenas,
-    engine: Engine,
-    cfg: &Arc<SsdConfig>,
-    mechanism: Mechanism,
-    trace: &Trace,
-    rpt: &ReadTimingParamTable,
-    queues: &HostQueueConfig,
-    image: Option<&DeviceImage>,
-) -> SimReport {
-    match engine {
-        Engine::Legacy => run_one_prepared_queued(
-            &mut arenas.legacy,
-            cfg,
-            mechanism,
-            trace,
-            rpt,
-            queues,
-            image,
-        ),
-        Engine::Sharded { workers } => run_sharded_queued_from(
-            &mut arenas.sharded,
-            Arc::clone(cfg),
-            &|| mechanism.make_controller(rpt),
-            trace.footprint_pages,
-            &trace.requests,
-            queues,
-            image,
-            workers,
-        )
-        .expect("experiment configuration must be valid"),
-    }
 }
 
 /// The device-count axis of every array-aware runner: how many
@@ -620,14 +490,12 @@ fn array_avg_retry_steps(report: &ArrayReport) -> f64 {
         / total as f64
 }
 
-/// [`run_one_prepared_engine`] across a device array: the routed sub-traces
-/// in `device_traces` run on `set`'s devices — each under the engine
-/// `engine` selects (shard workers per device), at most `device_workers`
+/// [`run_one_prepared_queued`] across a device array: the routed sub-traces
+/// in `device_traces` run on `set`'s devices — at most `device_workers`
 /// devices concurrently — and merge into one [`ArrayReport`].
 #[allow(clippy::too_many_arguments)]
 fn run_one_prepared_array(
     set: &mut DeviceSet,
-    engine: Engine,
     device_workers: usize,
     cfg: &Arc<SsdConfig>,
     mechanism: Mechanism,
@@ -641,10 +509,6 @@ fn run_one_prepared_array(
         .iter()
         .map(|t| t.requests.as_slice())
         .collect();
-    let shard_workers = match engine {
-        Engine::Legacy => 0,
-        Engine::Sharded { workers } => workers,
-    };
     set.run_queued_from(
         cfg,
         &|| mechanism.make_controller(rpt),
@@ -652,7 +516,6 @@ fn run_one_prepared_array(
         &slices,
         queues,
         images,
-        shard_workers,
         device_workers,
     )
     .expect("experiment configuration must be valid")
@@ -695,7 +558,6 @@ fn route_for_array(t: &Trace, array: &ArraySetup) -> RoutedTrace {
 #[allow(clippy::too_many_arguments)]
 fn run_one_prepared_routed(
     set: &mut DeviceSet,
-    engine: Engine,
     device_workers: usize,
     cfg: &Arc<SsdConfig>,
     mechanism: Mechanism,
@@ -708,7 +570,6 @@ fn run_one_prepared_routed(
     match routed {
         RoutedTrace::Plain(device_traces) => run_one_prepared_array(
             set,
-            engine,
             device_workers,
             cfg,
             mechanism,
@@ -718,23 +579,18 @@ fn run_one_prepared_routed(
             queues,
             images,
         ),
-        RoutedTrace::Redundant(routing) => {
-            let shard_workers = match engine {
-                Engine::Legacy => 0,
-                Engine::Sharded { workers } => workers,
-            };
-            set.run_redundant_from(
+        RoutedTrace::Redundant(routing) => set
+            .run_redundant_from(
                 cfg,
                 &|| mechanism.make_controller(rpt),
                 footprint,
                 routing,
                 queues,
                 images,
-                shard_workers,
+                0,
                 device_workers,
             )
-            .expect("experiment configuration must be valid")
-        }
+            .expect("experiment configuration must be valid"),
     }
 }
 
@@ -760,16 +616,10 @@ pub fn run_one_queued_redundant_from(
     setup: &QueueSetup,
     queue_depth: u32,
     images: Option<&[&DeviceImage]>,
-    shards: u32,
 ) -> Result<ArrayReport, ConfigError> {
     let cfg = prepared_config(base, point, mechanism.is_ideal());
     let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-    let devices = set.devices();
-    let shard_workers = match Engine::select(shards, devices as usize) {
-        Engine::Legacy => 0,
-        Engine::Sharded { workers } => workers,
-    };
-    let device_workers = worker_budget(devices, 1);
+    let device_workers = worker_budget(set.devices(), 1);
     match route_for_array(trace, array) {
         RoutedTrace::Plain(device_traces) => {
             let slices: Vec<&[HostRequest]> = device_traces
@@ -783,7 +633,6 @@ pub fn run_one_queued_redundant_from(
                 &slices,
                 &front,
                 images,
-                shard_workers,
                 device_workers,
             )
         }
@@ -794,7 +643,7 @@ pub fn run_one_queued_redundant_from(
             &routing,
             &front,
             images,
-            shard_workers,
+            0,
             device_workers,
         ),
     }
@@ -951,8 +800,7 @@ pub struct MatrixCell {
 /// computes it.
 #[allow(clippy::too_many_arguments)]
 fn run_cell_group(
-    arenas: &mut Arenas,
-    engine: Engine,
+    arena: &mut SimArena,
     base: &SsdConfig,
     trace: &Trace,
     read_dominant: bool,
@@ -966,10 +814,10 @@ fn run_cell_group(
     let cfgs = CellConfigs::new(base, point, mechanisms);
     let image = bank.get(trace.footprint_pages);
     let queues = HostQueueConfig::single(ReplayMode::OpenLoop);
-    let run = |arenas: &mut Arenas, m: Mechanism| {
-        run_one_prepared_engine(arenas, engine, cfgs.get(m), m, trace, rpt, &queues, image)
+    let run = |arena: &mut SimArena, m: Mechanism| {
+        run_one_prepared_queued(arena, cfgs.get(m), m, trace, rpt, &queues, image)
     };
-    let baseline = run(arenas, Mechanism::Baseline);
+    let baseline = run(arena, Mechanism::Baseline);
     let base_rt = baseline.avg_response_us();
     mechanisms
         .iter()
@@ -977,7 +825,7 @@ fn run_cell_group(
             let report = if m == Mechanism::Baseline {
                 baseline.clone()
             } else {
-                run(arenas, m)
+                run(arena, m)
             };
             MatrixCell {
                 workload: trace.name.clone(),
@@ -1010,19 +858,17 @@ pub fn run_matrix(
     mechanisms: &[Mechanism],
 ) -> Vec<MatrixCell> {
     let bank = preconditioned_bank(base, traces.iter().map(|(t, _)| t));
-    run_matrix_with_bank(base, traces, points, mechanisms, 1, Engine::Legacy, &bank)
+    run_matrix_with_bank(base, traces, points, mechanisms, 1, &bank)
 }
 
 /// The shared matrix core: every (trace × point) group forks its trace's
 /// image out of `bank` instead of re-preconditioning per cell.
-#[allow(clippy::too_many_arguments)]
 fn run_matrix_with_bank(
     base: &SsdConfig,
     traces: &[(Trace, bool)],
     points: &[OperatingPoint],
     mechanisms: &[Mechanism],
     jobs: usize,
-    engine: Engine,
     bank: &ImageBank,
 ) -> Vec<MatrixCell> {
     let rpt = ReadTimingParamTable::default();
@@ -1033,11 +879,10 @@ fn run_matrix_with_bank(
     parallel_ordered(
         &groups,
         jobs,
-        Arenas::new,
-        |arenas, &(trace, read_dominant, point)| {
+        SimArena::new,
+        |arena, &(trace, read_dominant, point)| {
             run_cell_group(
-                arenas,
-                engine,
+                arena,
                 base,
                 trace,
                 read_dominant,
@@ -1121,32 +966,8 @@ pub fn run_matrix_parallel(
     mechanisms: &[Mechanism],
     jobs: usize,
 ) -> Vec<MatrixCell> {
-    run_matrix_sharded(base, traces, points, mechanisms, jobs, 0)
-}
-
-/// [`run_matrix_parallel`] with the per-cell engine selectable via
-/// `shards`: 0 keeps the legacy serial engine; N ≥ 1 drives every cell
-/// through the channel-sharded engine, whose output is bit-identical for
-/// any N (and any `jobs`) but keyed separately from serial output in the
-/// perf gate.
-pub fn run_matrix_sharded(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    shards: u32,
-) -> Vec<MatrixCell> {
     let bank = preconditioned_bank(base, traces.iter().map(|(t, _)| t));
-    run_matrix_with_bank(
-        base,
-        traces,
-        points,
-        mechanisms,
-        jobs,
-        Engine::select(shards, jobs),
-        &bank,
-    )
+    run_matrix_with_bank(base, traces, points, mechanisms, jobs, &bank)
 }
 
 /// [`run_matrix_parallel`] warm-started from an externally supplied image
@@ -1165,109 +986,74 @@ pub fn run_matrix_parallel_from(
     jobs: usize,
     bank: &ImageBank,
 ) -> Result<Vec<MatrixCell>, ConfigError> {
-    run_matrix_sharded_from(base, traces, points, mechanisms, jobs, 0, bank)
-}
-
-/// [`run_matrix_parallel_from`] with the per-cell engine selectable via
-/// `shards` (see [`run_matrix_sharded`]).
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-pub fn run_matrix_sharded_from(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    shards: u32,
-    bank: &ImageBank,
-) -> Result<Vec<MatrixCell>, ConfigError> {
     validate_bank(bank, base, traces.iter().map(|(t, _)| t))?;
     Ok(run_matrix_with_bank(
-        base,
-        traces,
-        points,
-        mechanisms,
-        jobs,
-        Engine::select(shards, jobs),
-        bank,
+        base, traces, points, mechanisms, jobs, bank,
     ))
 }
 
-/// [`run_matrix_sharded`]'s array sibling: routes every trace across
+/// [`run_matrix_parallel`]'s array sibling: routes every trace across
 /// `array.devices` full-footprint replica devices (preconditioning one image
 /// per footprint and forking it across the array) and reports array-merged
 /// cells. `array.devices ≤ 1` delegates **bit-identically** to
-/// [`run_matrix_sharded`] — the array layer adds no code to that path.
-#[allow(clippy::too_many_arguments)]
+/// [`run_matrix_parallel`] — the array layer adds no code to that path.
 pub fn run_matrix_array(
     base: &SsdConfig,
     traces: &[(Trace, bool)],
     points: &[OperatingPoint],
     mechanisms: &[Mechanism],
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
 ) -> Vec<MatrixCell> {
     if !array.is_array() {
-        return run_matrix_sharded(base, traces, points, mechanisms, jobs, shards);
+        return run_matrix_parallel(base, traces, points, mechanisms, jobs);
     }
     let bank = preconditioned_bank(base, traces.iter().map(|(t, _)| t));
-    matrix_array_with_bank(base, traces, points, mechanisms, jobs, shards, array, &bank)
+    matrix_array_with_bank(base, traces, points, mechanisms, jobs, array, &bank)
         .expect("the preconditioned bank covers every footprint")
 }
 
 /// [`run_matrix_array`] warm-started from an externally supplied image bank
 /// (`repro fig14 --from-image --devices N`): each footprint's single image
 /// is forked across all `array.devices` devices. `array.devices ≤ 1`
-/// delegates bit-identically to [`run_matrix_sharded_from`].
+/// delegates bit-identically to [`run_matrix_parallel_from`].
 ///
 /// # Errors
 ///
 /// Returns a typed error when the bank lacks an image for some trace
 /// footprint, an image was captured under different model inputs, or the
 /// fork cannot cover the device count.
-#[allow(clippy::too_many_arguments)]
 pub fn run_matrix_array_from(
     base: &SsdConfig,
     traces: &[(Trace, bool)],
     points: &[OperatingPoint],
     mechanisms: &[Mechanism],
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<MatrixCell>, ConfigError> {
     if !array.is_array() {
-        return run_matrix_sharded_from(base, traces, points, mechanisms, jobs, shards, bank);
+        return run_matrix_parallel_from(base, traces, points, mechanisms, jobs, bank);
     }
     validate_bank(bank, base, traces.iter().map(|(t, _)| t))?;
-    matrix_array_with_bank(base, traces, points, mechanisms, jobs, shards, array, bank)
+    matrix_array_with_bank(base, traces, points, mechanisms, jobs, array, bank)
 }
 
 /// The shared array-matrix core (`array.devices ≥ 2`): each trace is routed
 /// once up front, its image forked across the array once, and every (trace
 /// × point) group runs on a per-worker [`DeviceSet`] whose device arenas
 /// persist across the groups that worker processes.
-#[allow(clippy::too_many_arguments)]
 fn matrix_array_with_bank(
     base: &SsdConfig,
     traces: &[(Trace, bool)],
     points: &[OperatingPoint],
     mechanisms: &[Mechanism],
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<MatrixCell>, ConfigError> {
     let devices = array.devices;
     let rpt = ReadTimingParamTable::default();
-    // The device×shard worker budget: the host's cores split across `jobs`
-    // cell workers × up to `devices` concurrent devices, each of which may
-    // further run `shards` channel cores.
-    let engine = Engine::select(shards, jobs.max(1).saturating_mul(devices as usize));
     let device_workers = worker_budget(devices, jobs.max(1));
     let routed: Vec<RoutedTrace> = traces
         .iter()
@@ -1288,7 +1074,6 @@ fn matrix_array_with_bank(
             let (trace, read_dominant) = &traces[ti];
             run_array_cell_group(
                 set,
-                engine,
                 device_workers,
                 base,
                 trace,
@@ -1313,7 +1098,6 @@ fn matrix_array_with_bank(
 #[allow(clippy::too_many_arguments)]
 fn run_array_cell_group(
     set: &mut DeviceSet,
-    engine: Engine,
     device_workers: usize,
     base: &SsdConfig,
     trace: &Trace,
@@ -1330,7 +1114,6 @@ fn run_array_cell_group(
     let run = |set: &mut DeviceSet, m: Mechanism| {
         run_one_prepared_routed(
             set,
-            engine,
             device_workers,
             cfgs.get(m),
             m,
@@ -1464,70 +1247,8 @@ pub fn run_qd_sweep_queued(
         mechanisms,
         setup,
         jobs,
-        Engine::Legacy,
         &bank,
     )
-}
-
-/// [`run_qd_sweep_queued`] with the per-cell engine selectable via
-/// `shards` (see [`run_matrix_sharded`]): 0 keeps the legacy serial
-/// engine, N ≥ 1 runs every cell on the channel-sharded engine.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qd_sweep_sharded(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    shards: u32,
-) -> Vec<QdSweepCell> {
-    let bank = preconditioned_bank(base, traces);
-    qd_sweep_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::select(shards, jobs),
-        &bank,
-    )
-}
-
-/// [`run_qd_sweep_sharded`] warm-started from an externally supplied image
-/// bank.
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qd_sweep_sharded_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    shards: u32,
-    bank: &ImageBank,
-) -> Result<Vec<QdSweepCell>, ConfigError> {
-    validate_bank(bank, base, traces)?;
-    Ok(qd_sweep_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::select(shards, jobs),
-        bank,
-    ))
 }
 
 /// [`run_qd_sweep_queued`] warm-started from an externally supplied image
@@ -1558,16 +1279,15 @@ pub fn run_qd_sweep_queued_from(
         mechanisms,
         setup,
         jobs,
-        Engine::Legacy,
         bank,
     ))
 }
 
-/// [`run_qd_sweep_sharded`]'s array sibling: each cell routes its trace
+/// [`run_qd_sweep_queued`]'s array sibling: each cell routes its trace
 /// across `array.devices` replica devices (every device closed-loop at the
 /// swept depth) and reports the array-merged distributions plus per-device
 /// tails. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_qd_sweep_sharded`].
+/// [`run_qd_sweep_queued`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_qd_sweep_array(
     base: &SsdConfig,
@@ -1577,20 +1297,10 @@ pub fn run_qd_sweep_array(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
 ) -> Vec<QdSweepCell> {
     if !array.is_array() {
-        return run_qd_sweep_sharded(
-            base,
-            traces,
-            point,
-            queue_depths,
-            mechanisms,
-            setup,
-            jobs,
-            shards,
-        );
+        return run_qd_sweep_queued(base, traces, point, queue_depths, mechanisms, setup, jobs);
     }
     let bank = preconditioned_bank(base, traces);
     qd_sweep_array_with_bank(
@@ -1601,7 +1311,6 @@ pub fn run_qd_sweep_array(
         mechanisms,
         setup,
         jobs,
-        shards,
         array,
         &bank,
     )
@@ -1610,7 +1319,7 @@ pub fn run_qd_sweep_array(
 
 /// [`run_qd_sweep_array`] warm-started from an externally supplied image
 /// bank. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_qd_sweep_sharded_from`].
+/// [`run_qd_sweep_queued_from`].
 ///
 /// # Errors
 ///
@@ -1626,12 +1335,11 @@ pub fn run_qd_sweep_array_from(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<QdSweepCell>, ConfigError> {
     if !array.is_array() {
-        return run_qd_sweep_sharded_from(
+        return run_qd_sweep_queued_from(
             base,
             traces,
             point,
@@ -1639,7 +1347,6 @@ pub fn run_qd_sweep_array_from(
             mechanisms,
             setup,
             jobs,
-            shards,
             bank,
         );
     }
@@ -1652,7 +1359,6 @@ pub fn run_qd_sweep_array_from(
         mechanisms,
         setup,
         jobs,
-        shards,
         array,
         bank,
     )
@@ -1668,14 +1374,12 @@ fn qd_sweep_array_with_bank(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<QdSweepCell>, ConfigError> {
     let devices = array.devices;
     let rpt = ReadTimingParamTable::default();
     let cfgs = CellConfigs::new(base, point, mechanisms);
-    let engine = Engine::select(shards, jobs.max(1).saturating_mul(devices as usize));
     let device_workers = worker_budget(devices, jobs.max(1));
     let routed: Vec<RoutedTrace> = traces.iter().map(|t| route_for_array(t, &array)).collect();
     let mut forks: Vec<Vec<&DeviceImage>> = Vec::with_capacity(traces.len());
@@ -1698,7 +1402,6 @@ fn qd_sweep_array_with_bank(
             let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
             let report = run_one_prepared_routed(
                 set,
-                engine,
                 device_workers,
                 cfgs.get(m),
                 m,
@@ -1737,7 +1440,6 @@ fn qd_sweep_with_bank(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    engine: Engine,
     bank: &ImageBank,
 ) -> Vec<QdSweepCell> {
     let rpt = ReadTimingParamTable::default();
@@ -1756,12 +1458,11 @@ fn qd_sweep_with_bank(
     parallel_ordered(
         &groups,
         jobs,
-        Arenas::new,
-        |arenas, &(trace, queue_depth, m)| {
+        SimArena::new,
+        |arena, &(trace, queue_depth, m)| {
             let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
             let image = bank.get(trace.footprint_pages);
-            let report =
-                run_one_prepared_engine(arenas, engine, cfgs.get(m), m, trace, &rpt, &front, image);
+            let report = run_one_prepared_queued(arena, cfgs.get(m), m, trace, &rpt, &front, image);
             QdSweepCell {
                 workload: trace.name.clone(),
                 mechanism: m.name().to_string(),
@@ -1868,77 +1569,7 @@ pub fn run_rate_sweep_queued(
     jobs: usize,
 ) -> Vec<RateSweepCell> {
     let bank = preconditioned_bank(base, traces);
-    rate_sweep_with_bank(
-        base,
-        traces,
-        point,
-        rates,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::Legacy,
-        &bank,
-    )
-}
-
-/// [`run_rate_sweep_queued`] with the per-cell engine selectable via
-/// `shards` (see [`run_matrix_sharded`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_rate_sweep_sharded(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    shards: u32,
-) -> Vec<RateSweepCell> {
-    let bank = preconditioned_bank(base, traces);
-    rate_sweep_with_bank(
-        base,
-        traces,
-        point,
-        rates,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::select(shards, jobs),
-        &bank,
-    )
-}
-
-/// [`run_rate_sweep_sharded`] warm-started from an externally supplied
-/// image bank.
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rate_sweep_sharded_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    shards: u32,
-    bank: &ImageBank,
-) -> Result<Vec<RateSweepCell>, ConfigError> {
-    validate_bank(bank, base, traces)?;
-    Ok(rate_sweep_with_bank(
-        base,
-        traces,
-        point,
-        rates,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::select(shards, jobs),
-        bank,
-    ))
+    rate_sweep_with_bank(base, traces, point, rates, mechanisms, setup, jobs, &bank)
 }
 
 /// [`run_rate_sweep_queued`] warm-started from an externally supplied image
@@ -1962,23 +1593,15 @@ pub fn run_rate_sweep_queued_from(
 ) -> Result<Vec<RateSweepCell>, ConfigError> {
     validate_bank(bank, base, traces)?;
     Ok(rate_sweep_with_bank(
-        base,
-        traces,
-        point,
-        rates,
-        mechanisms,
-        setup,
-        jobs,
-        Engine::Legacy,
-        bank,
+        base, traces, point, rates, mechanisms, setup, jobs, bank,
     ))
 }
 
-/// [`run_rate_sweep_sharded`]'s array sibling: each cell routes its
+/// [`run_rate_sweep_queued`]'s array sibling: each cell routes its
 /// rate-scaled open-loop trace across `array.devices` replica devices and
 /// reports the array-merged distributions plus per-device tails.
 /// `array.devices ≤ 1` delegates bit-identically to
-/// [`run_rate_sweep_sharded`].
+/// [`run_rate_sweep_queued`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_rate_sweep_array(
     base: &SsdConfig,
@@ -1988,22 +1611,21 @@ pub fn run_rate_sweep_array(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
 ) -> Vec<RateSweepCell> {
     if !array.is_array() {
-        return run_rate_sweep_sharded(base, traces, point, rates, mechanisms, setup, jobs, shards);
+        return run_rate_sweep_queued(base, traces, point, rates, mechanisms, setup, jobs);
     }
     let bank = preconditioned_bank(base, traces);
     rate_sweep_array_with_bank(
-        base, traces, point, rates, mechanisms, setup, jobs, shards, array, &bank,
+        base, traces, point, rates, mechanisms, setup, jobs, array, &bank,
     )
     .expect("the preconditioned bank covers every footprint")
 }
 
 /// [`run_rate_sweep_array`] warm-started from an externally supplied image
 /// bank. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_rate_sweep_sharded_from`].
+/// [`run_rate_sweep_queued_from`].
 ///
 /// # Errors
 ///
@@ -2019,18 +1641,17 @@ pub fn run_rate_sweep_array_from(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<RateSweepCell>, ConfigError> {
     if !array.is_array() {
-        return run_rate_sweep_sharded_from(
-            base, traces, point, rates, mechanisms, setup, jobs, shards, bank,
+        return run_rate_sweep_queued_from(
+            base, traces, point, rates, mechanisms, setup, jobs, bank,
         );
     }
     validate_bank(bank, base, traces)?;
     rate_sweep_array_with_bank(
-        base, traces, point, rates, mechanisms, setup, jobs, shards, array, bank,
+        base, traces, point, rates, mechanisms, setup, jobs, array, bank,
     )
 }
 
@@ -2044,14 +1665,12 @@ fn rate_sweep_array_with_bank(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    shards: u32,
     array: ArraySetup,
     bank: &ImageBank,
 ) -> Result<Vec<RateSweepCell>, ConfigError> {
     let devices = array.devices;
     let rpt = ReadTimingParamTable::default();
     let cfgs = CellConfigs::new(base, point, mechanisms);
-    let engine = Engine::select(shards, jobs.max(1).saturating_mul(devices as usize));
     let device_workers = worker_budget(devices, jobs.max(1));
     let routed: Vec<RoutedTrace> = traces.iter().map(|t| route_for_array(t, &array)).collect();
     let mut forks: Vec<Vec<&DeviceImage>> = Vec::with_capacity(traces.len());
@@ -2074,7 +1693,6 @@ fn rate_sweep_array_with_bank(
             let front = setup.front(ReplayMode::open_loop_rate(rate), None);
             let report = run_one_prepared_routed(
                 set,
-                engine,
                 device_workers,
                 cfgs.get(m),
                 m,
@@ -2113,7 +1731,6 @@ fn rate_sweep_with_bank(
     mechanisms: &[Mechanism],
     setup: &QueueSetup,
     jobs: usize,
-    engine: Engine,
     bank: &ImageBank,
 ) -> Vec<RateSweepCell> {
     let rpt = ReadTimingParamTable::default();
@@ -2126,11 +1743,10 @@ fn rate_sweep_with_bank(
                 .flat_map(move |&rate| mechanisms.iter().map(move |&m| (t, rate, m)))
         })
         .collect();
-    parallel_ordered(&groups, jobs, Arenas::new, |arenas, &(trace, rate, m)| {
+    parallel_ordered(&groups, jobs, SimArena::new, |arena, &(trace, rate, m)| {
         let front = setup.front(ReplayMode::open_loop_rate(rate), None);
         let image = bank.get(trace.footprint_pages);
-        let report =
-            run_one_prepared_engine(arenas, engine, cfgs.get(m), m, trace, &rpt, &front, image);
+        let report = run_one_prepared_queued(arena, cfgs.get(m), m, trace, &rpt, &front, image);
         RateSweepCell {
             workload: trace.name.clone(),
             mechanism: m.name().to_string(),
@@ -2501,82 +2117,6 @@ mod tests {
         // Offered load can only hurt (or leave) latency: the rate-4 replay's
         // mean response is at least the rate-0.5 replay's.
         assert!(serial[2].avg_response_us >= serial[0].avg_response_us - 1e-9);
-    }
-
-    #[test]
-    fn sharded_runners_are_invariant_to_shards_and_jobs() {
-        // The engine contract behind `--shards N ≡ --shards 1`: the sharded
-        // runners' output is a pure function of the workload — never of the
-        // shard count or the cell-level job count (which only split host
-        // parallelism differently).
-        let base = SsdConfig::scaled_for_tests();
-        let traces = vec![tiny_trace("a", 60), tiny_trace("b", 40)];
-        let pairs: Vec<(Trace, bool)> = traces.iter().map(|t| (t.clone(), true)).collect();
-        let points = [OperatingPoint::new(2000.0, 6.0)];
-        let point = points[0];
-        let setup = QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin);
-        let m = [Mechanism::Baseline, Mechanism::PnAr2];
-        let matrix_one = run_matrix_sharded(&base, &pairs, &points, &m, 1, 1);
-        let qd_one = run_qd_sweep_sharded(&base, &traces, point, &[4], &m, &setup, 1, 1);
-        let rate_one = run_rate_sweep_sharded(&base, &traces, point, &[2.0], &m, &setup, 1, 1);
-        for (jobs, shards) in [(1, 2), (2, 4), (2, 1)] {
-            assert_eq!(
-                matrix_one,
-                run_matrix_sharded(&base, &pairs, &points, &m, jobs, shards),
-                "matrix diverged at jobs={jobs} shards={shards}"
-            );
-            assert_eq!(
-                qd_one,
-                run_qd_sweep_sharded(&base, &traces, point, &[4], &m, &setup, jobs, shards),
-                "qd sweep diverged at jobs={jobs} shards={shards}"
-            );
-            assert_eq!(
-                rate_one,
-                run_rate_sweep_sharded(&base, &traces, point, &[2.0], &m, &setup, jobs, shards),
-                "rate sweep diverged at jobs={jobs} shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_serve_unit_matches_the_sharded_sweep_cell() {
-        // The serve fix rides the same engine: one warm-started sharded
-        // query answers exactly what the sharded sweep reports for the cell.
-        let base = SsdConfig::scaled_for_tests();
-        let trace = tiny_trace("q", 50);
-        let point = OperatingPoint::new(2000.0, 6.0);
-        let setup = QueueSetup::single();
-        let rpt = ReadTimingParamTable::default();
-        let bank = ImageBank::preconditioned(&base, [trace.footprint_pages]).expect("valid config");
-        let cells = run_qd_sweep_sharded_from(
-            &base,
-            std::slice::from_ref(&trace),
-            point,
-            &[8],
-            &[Mechanism::PnAr2],
-            &setup,
-            1,
-            2,
-            &bank,
-        )
-        .expect("bank covers the sweep");
-        let mut arena = ShardArena::new();
-        let report = run_one_queued_sharded_from(
-            &mut arena,
-            &base,
-            Mechanism::PnAr2,
-            point,
-            &trace,
-            &rpt,
-            &setup,
-            8,
-            bank.get(trace.footprint_pages),
-            2,
-        );
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].reads, report.read_latency);
-        assert_eq!(cells[0].avg_response_us, report.avg_response_us());
-        assert_eq!(cells[0].events, report.events_processed);
     }
 
     #[test]

@@ -405,7 +405,6 @@ mod tests {
             &[Mechanism::Baseline],
             &QueueSetup::single(),
             1,
-            0,
             ArraySetup::new(2, PlacementPolicy::RoundRobin),
         );
         let csv = qd_sweep_csv(&cells);

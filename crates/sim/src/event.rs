@@ -1,29 +1,13 @@
 //! The discrete-event core: a deterministic time-ordered event queue.
 //!
 //! Ties are broken by insertion order (a monotonically increasing sequence
-//! number), which makes simulation runs bit-reproducible regardless of the
-//! backing data structure.
-//!
-//! Two interchangeable backends implement the same contract:
-//!
-//! * a binary **heap** (`BinaryHeap<Reverse<_>>`, the historical default) —
-//!   `O(log n)` push/pop, no assumptions about the time domain;
-//! * a hierarchical **timing wheel** ([`wheel::TimingWheel`], selected by the
-//!   `hotpath.timing_wheel` switch in
-//!   [`HotpathConfig`](crate::config::HotpathConfig)) — amortized `O(1)`
-//!   push/pop over bucketed integer-nanosecond slots, exploiting the
-//!   simulator's monotonically advancing clock.
-//!
-//! `tests/hotpath_equiv.rs` and the event-queue proptests pin the two
-//! backends to identical `(time, payload)` pop sequences, so flipping the
-//! switch is semantics-neutral by construction.
-
-pub mod wheel;
+//! number), which makes simulation runs bit-reproducible. The backing store
+//! is a binary heap (`BinaryHeap<Reverse<_>>`): `O(log n)` push/pop, no
+//! assumptions about the time domain.
 
 use rr_util::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use wheel::TimingWheel;
 
 /// A deterministic min-queue of `(time, payload)` events.
 ///
@@ -42,35 +26,8 @@ use wheel::TimingWheel;
 /// assert_eq!(q.pop(), Some((SimTime::from_us(5), "c")));
 /// assert_eq!(q.pop(), None);
 /// ```
-///
-/// The timing-wheel backend pops the identical sequence:
-///
-/// ```
-/// use rr_sim::event::EventQueue;
-/// use rr_util::time::SimTime;
-///
-/// let mut q = EventQueue::new_wheel();
-/// q.push(SimTime::from_us(5), "b");
-/// q.push(SimTime::from_us(1), "a");
-/// q.push(SimTime::from_us(5), "c");
-/// assert_eq!(q.pop(), Some((SimTime::from_us(1), "a")));
-/// assert_eq!(q.pop(), Some((SimTime::from_us(5), "b")));
-/// assert_eq!(q.pop(), Some((SimTime::from_us(5), "c")));
-/// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
-}
-
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(HeapQueue<E>),
-    Wheel(TimingWheel<E>),
-}
-
-/// The binary-heap backend (the historical `EventQueue`).
-#[derive(Debug)]
-struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     last_popped: SimTime,
@@ -100,8 +57,9 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-impl<E> HeapQueue<E> {
-    fn new() -> Self {
+impl<E> EventQueue<E> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
@@ -109,10 +67,16 @@ impl<E> HeapQueue<E> {
         }
     }
 
-    fn push(&mut self, time: SimTime, payload: E) {
-        // Unconditional (not a debug assertion): the simulator's correctness
-        // — and the wheel backend's bucket math — rely on time never moving
-        // backwards, in every build profile.
+    /// Schedules `payload` at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last popped event — scheduling
+    /// into the past is always a simulator bug. The check is unconditional
+    /// (present in release builds): the simulator's correctness relies on
+    /// time never moving backwards, in every build profile.
+    #[inline]
+    pub fn push(&mut self, time: SimTime, payload: E) {
         if time < self.last_popped {
             panic!("scheduling into the past: {time} < {}", self.last_popped);
         }
@@ -125,140 +89,36 @@ impl<E> HeapQueue<E> {
         self.heap.push(Reverse(entry));
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Removes and returns the earliest event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(e) = self.heap.pop()?;
         self.last_popped = e.time;
         Some((e.time, e.payload))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
+    /// The time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    fn reset(&mut self) {
+    /// Empties the queue and rewinds its clock and FIFO tie-break sequence,
+    /// keeping the heap's allocation. A reset queue behaves bit-identically
+    /// to a freshly constructed one (the arena path relies on this).
+    pub fn reset(&mut self) {
         self.heap.clear();
         self.seq = 0;
         self.last_popped = SimTime::ZERO;
     }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default binary-heap backend.
-    pub fn new() -> Self {
-        Self {
-            backend: Backend::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// Creates an empty queue on the hierarchical timing-wheel backend.
-    pub fn new_wheel() -> Self {
-        Self {
-            backend: Backend::Wheel(TimingWheel::new()),
-        }
-    }
-
-    /// Creates an empty queue on the requested backend (`true` = timing
-    /// wheel) — the constructor form of the `hotpath.timing_wheel` switch.
-    pub fn with_wheel(use_wheel: bool) -> Self {
-        if use_wheel {
-            Self::new_wheel()
-        } else {
-            Self::new()
-        }
-    }
-
-    /// Whether this queue runs on the timing-wheel backend.
-    pub fn uses_wheel(&self) -> bool {
-        matches!(self.backend, Backend::Wheel(_))
-    }
-
-    /// Switches the backend (`true` = timing wheel), preserving the queue's
-    /// clock and FIFO sequence. A no-op when the backend already matches —
-    /// so a pooled queue keeps its allocations across same-config runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are pending: entries cannot migrate between
-    /// backends without disturbing the FIFO tie-break contract. (`SimArena`
-    /// reuse calls this immediately after [`EventQueue::reset`].)
-    pub fn set_wheel(&mut self, use_wheel: bool) {
-        if use_wheel == self.uses_wheel() {
-            return;
-        }
-        assert!(
-            self.is_empty(),
-            "cannot switch the event-queue backend with {} events pending",
-            self.len()
-        );
-        let (seq, last_popped) = match &self.backend {
-            Backend::Heap(h) => (h.seq, h.last_popped),
-            Backend::Wheel(w) => (w.seq(), w.last_popped()),
-        };
-        self.backend = if use_wheel {
-            Backend::Wheel(TimingWheel::restore(seq, last_popped))
-        } else {
-            Backend::Heap(HeapQueue {
-                heap: BinaryHeap::new(),
-                seq,
-                last_popped,
-            })
-        };
-    }
-
-    /// Schedules `payload` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last popped event — scheduling
-    /// into the past is always a simulator bug. The check is unconditional
-    /// (present in release builds) on both backends.
-    #[inline]
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(time, payload),
-            Backend::Wheel(w) => w.push(time, payload),
-        }
-    }
-
-    /// Removes and returns the earliest event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek_time(),
-            Backend::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Empties the queue and rewinds its clock and FIFO tie-break sequence,
-    /// keeping the backend's allocations. A reset queue behaves
-    /// bit-identically to a freshly constructed one (the arena path relies
-    /// on this).
-    pub fn reset(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.reset(),
-            Backend::Wheel(w) => w.reset(),
-        }
-    }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.heap.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -272,60 +132,51 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Both backends, so every contract test below runs against each.
-    fn backends() -> [EventQueue<i32>; 2] {
-        [EventQueue::new(), EventQueue::new_wheel()]
-    }
-
     #[test]
     fn orders_by_time_then_fifo() {
-        for mut q in backends() {
-            q.push(SimTime::from_us(10), 1);
-            q.push(SimTime::from_us(5), 2);
-            q.push(SimTime::from_us(10), 3);
-            q.push(SimTime::from_us(7), 4);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-            assert_eq!(order, vec![2, 4, 1, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_us(10), 1);
+        q.push(SimTime::from_us(5), 2);
+        q.push(SimTime::from_us(10), 3);
+        q.push(SimTime::from_us(7), 4);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, vec![2, 4, 1, 3]);
     }
 
     #[test]
     fn peek_matches_pop() {
-        for mut q in backends() {
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_us(3), 0);
-            q.push(SimTime::from_us(1), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_us(3)));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_us(3), 0);
+        q.push(SimTime::from_us(1), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(3)));
     }
 
     #[test]
     fn same_time_as_last_popped_is_allowed() {
-        for mut q in backends() {
-            q.push(SimTime::from_us(1), 1);
-            q.pop();
-            q.push(SimTime::from_us(1), 2); // zero-latency follow-up event
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), 2)));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_us(1), 1);
+        q.pop();
+        q.push(SimTime::from_us(1), 2); // zero-latency follow-up event
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 2)));
     }
 
     #[test]
     fn reset_rewinds_clock_and_sequence() {
-        for mut q in backends() {
-            q.push(SimTime::from_us(10), 1);
-            q.pop();
-            q.reset();
-            assert!(q.is_empty());
-            // Scheduling before the pre-reset watermark is legal again, and
-            // ties break FIFO from a fresh sequence.
-            q.push(SimTime::from_us(1), 2);
-            q.push(SimTime::from_us(1), 3);
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), 3)));
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_us(10), 1);
+        q.pop();
+        q.reset();
+        assert!(q.is_empty());
+        // Scheduling before the pre-reset watermark is legal again, and
+        // ties break FIFO from a fresh sequence.
+        q.push(SimTime::from_us(1), 2);
+        q.push(SimTime::from_us(1), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 3)));
     }
 
     #[test]
@@ -335,51 +186,5 @@ mod tests {
         q.push(SimTime::from_us(10), 1);
         q.pop();
         q.push(SimTime::from_us(5), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn scheduling_into_the_past_panics_on_the_wheel() {
-        let mut q = EventQueue::new_wheel();
-        q.push(SimTime::from_us(10), 1);
-        q.pop();
-        q.push(SimTime::from_us(5), 2);
-    }
-
-    #[test]
-    fn backend_switch_preserves_clock_and_sequence() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_us(10), 1);
-        q.pop();
-        q.set_wheel(true);
-        assert!(q.uses_wheel());
-        // The past-check watermark survives the switch...
-        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push(SimTime::from_us(5), 2)
-        }));
-        assert!(past.is_err(), "watermark lost across backend switch");
-        // ...and so does the FIFO sequence when switching back.
-        q.set_wheel(false);
-        assert!(!q.uses_wheel());
-        q.push(SimTime::from_us(10), 3);
-        q.push(SimTime::from_us(10), 4);
-        assert_eq!(q.pop(), Some((SimTime::from_us(10), 3)));
-        assert_eq!(q.pop(), Some((SimTime::from_us(10), 4)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot switch the event-queue backend")]
-    fn backend_switch_requires_an_empty_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_us(1), 1);
-        q.set_wheel(true);
-    }
-
-    #[test]
-    fn set_wheel_is_a_noop_on_matching_backend() {
-        let mut q = EventQueue::new_wheel();
-        q.push(SimTime::from_us(1), 1); // non-empty: a real switch would panic
-        q.set_wheel(true);
-        assert_eq!(q.len(), 1);
     }
 }

@@ -58,15 +58,14 @@ pub mod readflow;
 pub mod replay;
 pub mod request;
 pub mod scheduler;
-pub mod shard;
 pub mod snapshot;
 pub mod ssd;
 
 pub use array::{
-    route_redundant, ArrayReport, DeviceSet, FailurePlan, Placement, PlacementPolicy, Redundancy,
-    RedundancyStats, RedundantRouting,
+    route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, Placement,
+    PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
 };
-pub use config::{ArbPolicy, ConfigError, EventBackend, SsdConfig};
+pub use config::{ArbPolicy, ConfigError, SsdConfig};
 pub use gc::GcPolicy;
 pub use hostq::{HostQueueConfig, QueueSpec};
 pub use metrics::{GcStalls, LatencySummary, QueueLatency, SimReport};
@@ -74,6 +73,5 @@ pub use readflow::{BaselineController, ReadAction, ReadContext, RetryController}
 pub use replay::ReplayMode;
 pub use request::{HostRequest, IoOp};
 pub use scheduler::Arbiter;
-pub use shard::{run_sharded_queued_from, worker_budget, ShardArena, SHARD_WINDOW_US};
 pub use snapshot::{DeviceImage, ImageBank};
 pub use ssd::Ssd;

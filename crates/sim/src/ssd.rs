@@ -146,7 +146,7 @@ pub struct Ssd {
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
 /// multi-megabyte mapping tables, the die/channel queue slabs, the event
-/// queue (heap or timing wheel), and the transaction pool (with its sense
+/// queue, and the transaction pool (with its sense
 /// buffers) across the many short runs of an experiment matrix or sweep.
 ///
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
@@ -293,9 +293,6 @@ impl Ssd {
         }
         let mut events = std::mem::take(&mut arena.events);
         events.reset();
-        // A pooled queue may carry the previous run's backend; align it with
-        // this run's config (a no-op — allocations kept — when it matches).
-        events.set_wheel(cfg.hotpath.timing_wheel);
         let slab_reuse = cfg.hotpath.txn_slab_reuse;
         let mut txns = std::mem::take(&mut arena.txns);
         let mut free_txns = std::mem::take(&mut arena.free_txns);
@@ -522,11 +519,6 @@ impl Ssd {
         queues
             .validate()
             .expect("valid host-queue configuration and replay modes");
-        // The queue is empty here, so retargeting the backend is free; the
-        // default `heap` backend leaves `timing_wheel` in charge, so this is
-        // a no-op unless `hotpath.event_backend` asks for `wheel`/`auto`.
-        self.events
-            .set_wheel(self.cfg.hotpath.wheel_for_depth(queues.steady_depth_hint()));
         for r in trace {
             assert!(
                 r.lpn + r.len_pages as u64 <= self.ftl.lpn_count(),

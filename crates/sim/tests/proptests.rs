@@ -86,52 +86,61 @@ proptest! {
         }
     }
 
-    /// The timing-wheel backend is observationally identical to the heap:
-    /// any interleaving of `push`/`pop`/`peek_time`/`reset` — same-tick FIFO
-    /// bursts, spans from single nanoseconds past the wheel's 2³² ns spill
-    /// horizon, and post-`reset` reuse (the arena path) — yields the same
-    /// `(time, payload)` sequence from both.
+    /// The heap queue is observationally identical to a naive reference —
+    /// a `Vec` whose minimum by `(time, insertion sequence)` pops first —
+    /// under any interleaving of `push`/`pop`/`peek_time`/`len`/`reset`:
+    /// same-tick FIFO bursts, spans from single nanoseconds to tens of
+    /// seconds, and post-`reset` reuse (the arena path).
     #[test]
-    fn timing_wheel_matches_heap_on_any_interleaving(
+    fn heap_matches_sorted_vec_reference_on_any_interleaving(
         ops in prop::collection::vec((0u8..10, 0u64..50, 0u32..4), 1..400)
     ) {
         let mut heap = EventQueue::new();
-        let mut wheel = EventQueue::new_wheel();
+        // (time, sequence, payload); the sequence restarts at 0 on reset.
+        let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
+        let mut seq = 0u64;
+        let reference_pop = |reference: &mut Vec<(SimTime, u64, usize)>| {
+            let at = (0..reference.len()).min_by_key(|&j| (reference[j].0, reference[j].1))?;
+            let (t, _, payload) = reference.remove(at);
+            Some((t, payload))
+        };
         // Last popped time: pushes land at `clock + delta` so neither queue
         // ever schedules into the past.
         let mut clock = SimTime::ZERO;
         for (i, &(op, delta, magnitude)) in ops.iter().enumerate() {
             match op {
                 // Push-heavy mix; `delta = 0` re-lands on the current tick
-                // and the magnitude ladder reaches every wheel level plus
-                // the spill list (49 × 10⁹ ns > the 2³² ns horizon).
+                // and the magnitude ladder spans ns to tens of seconds.
                 0..=5 => {
                     let t = clock + SimTime::from_ns(delta * 1_000u64.pow(magnitude));
                     heap.push(t, i);
-                    wheel.push(t, i);
+                    reference.push((t, seq, i));
+                    seq += 1;
                 }
                 6 | 7 => {
-                    let (a, b) = (heap.pop(), wheel.pop());
+                    let (a, b) = (heap.pop(), reference_pop(&mut reference));
                     prop_assert_eq!(a, b, "pop diverged at op {}", i);
                     if let Some((t, _)) = a {
                         clock = t;
                     }
                 }
                 8 => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time(),
-                        "peek diverged at op {}", i);
+                    let min = reference.iter().map(|e| e.0).min();
+                    prop_assert_eq!(heap.peek_time(), min, "peek diverged at op {}", i);
                 }
                 _ => {
                     heap.reset();
-                    wheel.reset();
+                    reference.clear();
+                    seq = 0;
                     clock = SimTime::ZERO;
                 }
             }
-            prop_assert_eq!(heap.len(), wheel.len(), "len diverged at op {}", i);
+            prop_assert_eq!(heap.len(), reference.len(), "len diverged at op {}", i);
+            prop_assert_eq!(heap.is_empty(), reference.is_empty());
         }
         // Drain whatever is left in lock-step.
         loop {
-            let (a, b) = (heap.pop(), wheel.pop());
+            let (a, b) = (heap.pop(), reference_pop(&mut reference));
             prop_assert_eq!(a, b, "drain diverged");
             if a.is_none() {
                 break;

@@ -122,13 +122,7 @@ fn tier_routing_pins_the_hot_quarter_to_the_first_half() {
 
 /// Runs one closed-loop array replay through the serve-style per-query
 /// runner and returns its report.
-fn array_run(
-    devices: u32,
-    policy: PlacementPolicy,
-    mechanism: Mechanism,
-    qd: u32,
-    shards: u32,
-) -> ArrayReport {
+fn array_run(devices: u32, policy: PlacementPolicy, mechanism: Mechanism, qd: u32) -> ArrayReport {
     let base = base_cfg();
     let t = trace();
     let routed = t.split_routed(devices, |i, r| {
@@ -146,7 +140,42 @@ fn array_run(
         &QueueSetup::single(),
         qd,
         None,
-        shards,
+    )
+    .expect("valid array configuration")
+}
+
+/// [`array_run`] driven straight through [`DeviceSet::run_queued_from`] with
+/// an explicit device-worker count (the per-query runner picks its own).
+fn array_run_on_workers(
+    devices: u32,
+    policy: PlacementPolicy,
+    mechanism: Mechanism,
+    qd: u32,
+    device_workers: usize,
+) -> ArrayReport {
+    let base = base_cfg();
+    let cfg = std::sync::Arc::new(base.clone().with_condition(
+        ssd_readretry::flash::calibration::OperatingCondition::new(
+            2000.0,
+            6.0,
+            base.condition.temp_c,
+        ),
+    ));
+    let t = trace();
+    let routed = t.split_routed(devices, |i, r| {
+        policy.route(i, r, devices, t.footprint_pages)
+    });
+    let slices: Vec<&[HostRequest]> = routed.iter().map(|t| t.requests.as_slice()).collect();
+    let rpt = ReadTimingParamTable::default();
+    let mut set = DeviceSet::new(devices).expect("devices >= 1");
+    set.run_queued_from(
+        &cfg,
+        &|| mechanism.make_controller(&rpt),
+        t.footprint_pages,
+        &slices,
+        &HostQueueConfig::single(ReplayMode::closed_loop(qd)),
+        None,
+        device_workers,
     )
     .expect("valid array configuration")
 }
@@ -162,7 +191,7 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
     let point = OperatingPoint::new(2000.0, 6.0);
     for mechanism in [Mechanism::Baseline, Mechanism::Pr2, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
-            let array = array_run(1, PlacementPolicy::RoundRobin, mechanism, qd, 0);
+            let array = array_run(1, PlacementPolicy::RoundRobin, mechanism, qd);
             let mut arena = SimArena::new();
             let legacy = run_one_queued_from(
                 &mut arena, &base, mechanism, point, &t, &rpt, &setup, qd, None,
@@ -182,24 +211,27 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
 
 #[test]
 fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
-    // Device workers and shard workers only choose *where* a device core
-    // executes; the merged report must not move. The unsharded engine
-    // (`shards = 0`) is its own deterministic baseline; the sharded engine
-    // is bit-identical across every shard count >= 1.
-    let unsharded = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 0);
-    assert_eq!(unsharded.device_count(), 3);
-    assert!(unsharded.requests_completed > 0);
+    // Device workers only choose *where* a device executes; the merged
+    // report must not move across reruns or device-worker counts.
+    let reference = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8);
+    assert_eq!(reference.device_count(), 3);
+    assert!(reference.requests_completed > 0);
     assert_eq!(
-        unsharded,
-        array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 0),
-        "unsharded array rerun diverged"
+        reference,
+        array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8),
+        "array rerun diverged"
     );
-    let reference = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 1);
-    for shards in [1u32, 2, 4] {
-        let rerun = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, shards);
+    for device_workers in [1usize, 2, 3] {
         assert_eq!(
-            reference, rerun,
-            "sharded array run diverged at shards={shards}"
+            reference,
+            array_run_on_workers(
+                3,
+                PlacementPolicy::LpnHash,
+                Mechanism::PnAr2,
+                8,
+                device_workers
+            ),
+            "array run diverged at device_workers={device_workers}"
         );
     }
 }
@@ -219,7 +251,6 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
         &mechanisms,
         &setup,
         1,
-        0,
         array,
     );
     for jobs in [1usize, 2] {
@@ -231,7 +262,6 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
             &mechanisms,
             &setup,
             jobs,
-            0,
             array,
         );
         assert_eq!(reference, rerun, "array sweep diverged at jobs={jobs}");
@@ -286,7 +316,6 @@ fn gc_storm_on_one_device_is_attributed_in_the_array_tail() {
         &QueueSetup::single(),
         16,
         None,
-        0,
     )
     .expect("valid array configuration");
     let stalls: u64 = (0..devices as usize)
@@ -319,7 +348,6 @@ fn device_count_mismatches_are_typed_errors() {
         &QueueSetup::single(),
         4,
         None,
-        0,
     );
     assert!(
         wrong_traces.is_err(),
@@ -342,7 +370,6 @@ fn device_count_mismatches_are_typed_errors() {
         &QueueSetup::single(),
         4,
         Some(forks.as_slice()),
-        0,
     );
     assert!(
         wrong_images.is_err(),
@@ -375,7 +402,6 @@ fn array_quantiles_are_concatenated_samples_not_quantiles_of_quantiles() {
         &QueueSetup::single(),
         8,
         None,
-        0,
     )
     .expect("valid redundant configuration");
     let logical_reads = t.requests.iter().filter(|r| r.op == IoOp::Read).count() as u64;
@@ -424,17 +450,7 @@ fn warm_started_array_sweep_matches_the_cold_start() {
     let point = OperatingPoint::new(2000.0, 6.0);
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_qd_sweep_array(
-        &base,
-        &traces,
-        point,
-        &[8],
-        &mechanisms,
-        &setup,
-        1,
-        0,
-        array,
-    );
+    let cold = run_qd_sweep_array(&base, &traces, point, &[8], &mechanisms, &setup, 1, array);
     for jobs in [1usize, 2] {
         let warm = run_qd_sweep_array_from(
             &base,
@@ -444,7 +460,6 @@ fn warm_started_array_sweep_matches_the_cold_start() {
             &mechanisms,
             &setup,
             jobs,
-            0,
             array,
             &bank,
         )

@@ -101,7 +101,6 @@ fn replicated_run(t: &Trace, failure: Option<FailurePlan>) -> ArrayReport {
         &QueueSetup::single(),
         8,
         None,
-        0,
     )
     .expect("valid redundant configuration")
 }

@@ -1,8 +1,6 @@
 //! Hot-path equivalence suite: every performance switch must be
 //! **semantics-neutral**. The page-profile cache, the pooled transaction
-//! slab, the timing-wheel event queue, the `auto` event-backend policy, the
-//! channel-sharded engine's worker count, and the cross-run arena may only
-//! change wall-clock — a run's
+//! slab, and the cross-run arena may only change wall-clock — a run's
 //! [`ssd_readretry::sim::metrics::SimReport`] must be bit-identical with any
 //! combination of them on or off, across workload families, replay modes,
 //! and queue depths.
@@ -70,130 +68,6 @@ fn all_hotpath_switches_off_matches_all_on() {
     slow.hotpath.profile_cache = false;
     slow.hotpath.txn_slab_reuse = false;
     assert_equivalent(&fast, &slow, "hot-path switches");
-}
-
-#[test]
-fn timing_wheel_is_bit_identical_to_the_heap_across_msrc_ycsb_and_queue_depths() {
-    // The tentpole contract: swapping the event core from the binary heap
-    // to the hierarchical timing wheel may only change wall-clock.
-    let heap = base_cfg();
-    let wheel = base_cfg().with_timing_wheel(true);
-    assert_equivalent(&heap, &wheel, "timing-wheel event queue");
-}
-
-#[test]
-fn timing_wheel_composes_with_the_other_hotpath_switches() {
-    // Wheel on with everything else off vs. heap with everything on — the
-    // switches must stay independent.
-    let fast = base_cfg().with_timing_wheel(true);
-    let mut slow = base_cfg();
-    slow.hotpath.profile_cache = false;
-    slow.hotpath.txn_slab_reuse = false;
-    assert_equivalent(&fast, &slow, "timing wheel + hot-path switches");
-}
-
-#[test]
-fn timing_wheel_is_bit_identical_under_multi_queue_wrr() {
-    // Submission-queue waits and WRR arbitration schedule many same-tick
-    // events; the wheel's FIFO tie-break must hold through them.
-    let rpt = ReadTimingParamTable::default();
-    let front = HostQueueConfig::uniform(2, Mode::closed_loop(8))
-        .with_arb(ssd_readretry::sim::config::ArbPolicy::WeightedRoundRobin)
-        .with_weights(&[3, 1])
-        .with_window(8);
-    for trace in workloads() {
-        let run = |cfg: &SsdConfig| {
-            let cfg = cfg.clone().with_condition(
-                ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-            );
-            Ssd::new(
-                cfg,
-                Mechanism::PnAr2.make_controller(&rpt),
-                trace.footprint_pages,
-            )
-            .expect("valid configuration")
-            .run_with_queues(&trace.requests, &front)
-        };
-        let heap_report = run(&base_cfg());
-        let wheel_report = run(&base_cfg().with_timing_wheel(true));
-        assert_eq!(
-            heap_report, wheel_report,
-            "timing wheel changed a multi-queue report on {}",
-            trace.name
-        );
-    }
-}
-
-#[test]
-fn timing_wheel_is_bit_identical_under_every_gc_policy() {
-    // GC preemption/resume scheduling is the densest source of same-tick
-    // event bursts; every policy must replay identically on the wheel.
-    let rpt = ReadTimingParamTable::default();
-    let policies = [
-        GcPolicy::Greedy,
-        GcPolicy::ReadPreempt { budget: 2 },
-        GcPolicy::WindowedTokens {
-            tokens: 1,
-            window_us: 5_000,
-        },
-        GcPolicy::QueueShield { queue: 0 },
-    ];
-    let gc_heavy = |policy: GcPolicy, wheel: bool| {
-        let mut cfg = base_cfg().with_gc_policy(policy).with_timing_wheel(wheel);
-        cfg.chip.blocks_per_plane = 16;
-        cfg.chip.pages_per_block = 12;
-        let footprint = cfg.max_lpns();
-        let trace = ssd_readretry::workloads::synth::gc_stress_trace(footprint, 2_000).requests;
-        let front = HostQueueConfig::uniform(2, Mode::closed_loop(16))
-            .with_arb(ssd_readretry::sim::config::ArbPolicy::WeightedRoundRobin)
-            .with_weights(&[2, 1])
-            .with_window(16);
-        Ssd::new(cfg, Mechanism::PnAr2.make_controller(&rpt), footprint)
-            .expect("valid configuration")
-            .run_with_queues(&trace, &front)
-    };
-    for policy in policies {
-        let heap = gc_heavy(policy, false);
-        let wheel = gc_heavy(policy, true);
-        assert_eq!(
-            heap, wheel,
-            "timing wheel changed a report under {policy:?}"
-        );
-        assert!(heap.gc_collections > 0, "{policy:?} run must exercise GC");
-    }
-}
-
-#[test]
-fn arena_reuse_alternating_backends_matches_fresh_construction() {
-    // One arena serving heap and wheel runs back to back — the pooled event
-    // queue is rebuilt to match each run's config — must stay bit-identical
-    // to fresh per-run simulators of the same config.
-    let rpt = ReadTimingParamTable::default();
-    let mut arena = SimArena::new();
-    let trace = MsrcWorkload::Mds1.synthesize(250, 5);
-    let mode = Mode::closed_loop(8);
-    for wheel in [true, false, true, true, false] {
-        let base = base_cfg().with_timing_wheel(wheel).with_condition(
-            ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-        );
-        let pooled = Ssd::run_pooled(
-            &mut arena,
-            base.clone(),
-            Mechanism::PnAr2.make_controller(&rpt),
-            trace.footprint_pages,
-            &trace.requests,
-            mode,
-        )
-        .expect("valid configuration");
-        let fresh = Ssd::new(
-            base,
-            Mechanism::PnAr2.make_controller(&rpt),
-            trace.footprint_pages,
-        )
-        .expect("valid configuration")
-        .run_with(&trace.requests, mode);
-        assert_eq!(pooled, fresh, "arena run diverged with wheel = {wheel}");
-    }
 }
 
 #[test]
@@ -599,114 +473,12 @@ fn mismatched_banks_are_rejected_with_a_typed_error() {
 }
 
 #[test]
-fn auto_event_backend_is_bit_neutral_across_backends_and_depths() {
-    // The `auto` policy only chooses *which* queue runs the events; every
-    // choice is semantics-neutral, so auto must match both the heap default
-    // and the explicit wheel — below the crossover depth (where it keeps the
-    // heap) and at depths past it (where it switches to the wheel).
-    use ssd_readretry::sim::config::EventBackend;
-    let heap = base_cfg();
-    let auto = base_cfg().with_event_backend(EventBackend::Auto);
-    let wheel = base_cfg().with_event_backend(EventBackend::Wheel);
-    assert_equivalent(&heap, &auto, "auto event backend (vs heap)");
-    assert_equivalent(&wheel, &auto, "auto event backend (vs wheel)");
-    // Past the crossover the hint flips auto to the wheel: drive a deep
-    // closed-loop multi-queue front end and pin the report either way.
-    let rpt = ReadTimingParamTable::default();
-    let trace = MsrcWorkload::Mds1.synthesize(300, 11);
-    let deep = HostQueueConfig::uniform(2, Mode::closed_loop(128));
-    let run =
-        |cfg: &SsdConfig| {
-            let cfg = cfg.clone().with_condition(
-                ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-            );
-            Ssd::new(
-                cfg,
-                Mechanism::PnAr2.make_controller(&rpt),
-                trace.footprint_pages,
-            )
-            .expect("valid configuration")
-            .run_with_queues(&trace.requests, &deep)
-        };
-    assert!(
-        deep.steady_depth_hint() >= ssd_readretry::sim::config::AUTO_WHEEL_CROSSOVER_DEPTH,
-        "test front end must sit past the auto crossover"
-    );
-    assert_eq!(
-        run(&heap),
-        run(&auto),
-        "auto backend changed a deep-queue report"
-    );
-}
-
-/// Runs the GC-stress multi-queue WRR workload on the channel-sharded
-/// engine with the given worker budget (the same cell the CI shard smoke
-/// diffs through `repro sweep-qd --gc-stress`).
-fn sharded_gc_stress(cfg: &SsdConfig, workers: usize) -> ssd_readretry::sim::metrics::SimReport {
-    let rpt = ReadTimingParamTable::default();
-    let footprint = cfg.max_lpns();
-    let trace = ssd_readretry::workloads::synth::gc_stress_trace(footprint, 2_000).requests;
-    let front = HostQueueConfig::uniform(2, Mode::closed_loop(16))
-        .with_arb(ssd_readretry::sim::config::ArbPolicy::WeightedRoundRobin)
-        .with_weights(&[2, 1])
-        .with_window(16);
-    let mut arena = ShardArena::new();
-    run_sharded_queued_from(
-        &mut arena,
-        cfg.clone(),
-        &|| Mechanism::PnAr2.make_controller(&rpt),
-        footprint,
-        &trace,
-        &front,
-        None,
-        workers,
-    )
-    .expect("valid configuration")
-}
-
-#[test]
-fn sharded_engine_is_worker_invariant_under_gc_stress_multi_queue_wrr() {
-    // The tentpole contract: the worker budget only selects which thread
-    // executes a channel core — `--shards N` must be bit-identical to
-    // `--shards 1` even while garbage collection, read-over-program
-    // suspension, and WRR arbitration are all active.
-    let mut cfg = base_cfg().with_condition(
-        ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-    );
-    cfg.chip.blocks_per_plane = 16;
-    cfg.chip.pages_per_block = 12;
-    let serial = sharded_gc_stress(&cfg, 1);
-    assert!(serial.gc_collections > 0, "run must exercise GC");
-    for workers in [2, 4] {
-        assert_eq!(
-            serial,
-            sharded_gc_stress(&cfg, workers),
-            "sharded report diverged at workers = {workers}"
-        );
-    }
-}
-
-#[test]
-fn sharded_engine_wheel_is_bit_identical_to_heap() {
-    // Both hot-path switches compose: each shard core's event queue may sit
-    // on the heap or the timing wheel without perturbing the merged report.
-    let mut cfg = base_cfg().with_condition(
-        ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-    );
-    cfg.chip.blocks_per_plane = 16;
-    cfg.chip.pages_per_block = 12;
-    let heap = sharded_gc_stress(&cfg, 2);
-    let wheel = sharded_gc_stress(&cfg.clone().with_timing_wheel(true), 2);
-    assert_eq!(heap, wheel, "timing wheel changed a sharded report");
-}
-
-#[test]
 fn single_device_array_runners_delegate_bit_identically() {
     // The array-layer gate: `--devices 1` must route through the exact
     // pre-array code path. The `run_*_array_from` runners with a
     // single-device setup return the same cells, bit for bit, as the
-    // `run_*_sharded_from` runners they wrap — across the matrix and both
-    // load sweeps, serial and sharded, at every worker count.
+    // single-device runners they wrap — across the matrix and both load
+    // sweeps, at every worker count.
     let base = base_cfg();
     let traces = workloads();
     let matrix_traces: Vec<(Trace, bool)> = traces.iter().map(|t| (t.clone(), true)).collect();
@@ -720,33 +492,25 @@ fn single_device_array_runners_delegate_bit_identically() {
         .expect("valid configuration");
     let single = ArraySetup::single();
     assert!(!single.is_array());
-    for (jobs, shards) in [(1usize, 0u32), (2, 2)] {
-        let matrix = run_matrix_sharded_from(
-            &base,
-            &matrix_traces,
-            &points,
-            &mechanisms,
-            jobs,
-            shards,
-            &bank,
-        )
-        .expect("bank covers the matrix");
+    for jobs in [1usize, 2] {
+        let matrix =
+            run_matrix_parallel_from(&base, &matrix_traces, &points, &mechanisms, jobs, &bank)
+                .expect("bank covers the matrix");
         let matrix_arr = run_matrix_array_from(
             &base,
             &matrix_traces,
             &points,
             &mechanisms,
             jobs,
-            shards,
             single,
             &bank,
         )
         .expect("bank covers the matrix");
         assert_eq!(
             matrix, matrix_arr,
-            "single-device array matrix diverged at jobs={jobs} shards={shards}"
+            "single-device array matrix diverged at jobs={jobs}"
         );
-        let qd = run_qd_sweep_sharded_from(
+        let qd = run_qd_sweep_queued_from(
             &base,
             &traces,
             point,
@@ -754,7 +518,6 @@ fn single_device_array_runners_delegate_bit_identically() {
             &mechanisms,
             &setup,
             jobs,
-            shards,
             &bank,
         )
         .expect("bank covers the sweep");
@@ -766,17 +529,16 @@ fn single_device_array_runners_delegate_bit_identically() {
             &mechanisms,
             &setup,
             jobs,
-            shards,
             single,
             &bank,
         )
         .expect("bank covers the sweep");
         assert_eq!(
             qd, qd_arr,
-            "single-device array QD sweep diverged at jobs={jobs} shards={shards}"
+            "single-device array QD sweep diverged at jobs={jobs}"
         );
         assert!(qd_arr.iter().all(|c| c.array.is_none()));
-        let rate = run_rate_sweep_sharded_from(
+        let rate = run_rate_sweep_queued_from(
             &base,
             &traces,
             point,
@@ -784,7 +546,6 @@ fn single_device_array_runners_delegate_bit_identically() {
             &mechanisms,
             &setup,
             jobs,
-            shards,
             &bank,
         )
         .expect("bank covers the sweep");
@@ -796,14 +557,13 @@ fn single_device_array_runners_delegate_bit_identically() {
             &mechanisms,
             &setup,
             jobs,
-            shards,
             single,
             &bank,
         )
         .expect("bank covers the sweep");
         assert_eq!(
             rate, rate_arr,
-            "single-device array rate sweep diverged at jobs={jobs} shards={shards}"
+            "single-device array rate sweep diverged at jobs={jobs}"
         );
     }
 }

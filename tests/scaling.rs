@@ -1,15 +1,12 @@
 //! Scaling checks, in two senses. Geometry scaling: the evaluation uses a
 //! capacity-scaled SSD (64 blocks/plane instead of the paper's 1,888) for
 //! test-budget reasons; the response-time *ratios* between mechanisms must
-//! be insensitive to that scaling (DESIGN.md §7). Shard scaling: the
-//! channel-sharded engine behind `--shards` must produce bit-identical
-//! results at every shard count, across reruns and `--jobs` values, and its
-//! worker budget must grow monotonically with the shard request without
-//! ever exceeding it.
+//! be insensitive to that scaling (DESIGN.md §7). Thread scaling: the
+//! device-worker budget of array runs must grow monotonically with the
+//! device count, stay within it, and never oversubscribe the host when
+//! `--jobs` cell workers each drive their own array.
 
 use ssd_readretry::prelude::*;
-use ssd_readretry::sim::replay::ReplayMode as Mode;
-use std::time::Instant;
 
 fn ratio_at(blocks_per_plane: u32) -> (f64, f64) {
     let mut cfg = SsdConfig::scaled_for_tests();
@@ -40,116 +37,35 @@ fn normalized_response_times_are_geometry_insensitive() {
     );
 }
 
-/// The GC-stress geometry every shard-determinism run below replays: small
-/// blocks so garbage collection and read-over-program suspension stay hot.
-fn gc_stress_cfg() -> SsdConfig {
-    let mut cfg = SsdConfig::scaled_for_tests().with_seed(0x5AA5_0123);
-    cfg.chip.blocks_per_plane = 16;
-    cfg.chip.pages_per_block = 12;
-    cfg
-}
-
-#[test]
-fn sharded_replay_is_deterministic_across_shard_counts_reruns_and_jobs() {
-    // The acceptance matrix of the sharding work, at the library layer:
-    // every (shards, jobs) combination and every rerun of the same
-    // combination must report bit-identical cells on a workload that keeps
-    // GC and suspension busy.
-    let base = gc_stress_cfg();
-    let trace = ssd_readretry::workloads::synth::gc_stress_trace(base.max_lpns(), 2_000);
-    let traces = vec![trace];
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let setup = QueueSetup::single();
-    let reference = run_qd_sweep_sharded(&base, &traces, point, &[16], &mechanisms, &setup, 1, 1);
-    assert!(
-        reference.iter().all(|c| c.events > 0),
-        "stress cells must simulate work"
-    );
-    for shards in [1u32, 2, 4] {
-        for jobs in [1usize, 2] {
-            for rerun in 0..2 {
-                let cells = run_qd_sweep_sharded(
-                    &base,
-                    &traces,
-                    point,
-                    &[16],
-                    &mechanisms,
-                    &setup,
-                    jobs,
-                    shards,
-                );
-                assert_eq!(
-                    reference, cells,
-                    "sharded sweep diverged at shards = {shards}, jobs = {jobs}, \
-                     rerun = {rerun}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn worker_budget_is_monotone_clamped_and_never_oversubscribes() {
-    // The budget that turns `--shards N` into actual threads: monotone in
-    // the shard request, never above it, never below one, and divided
-    // fairly when `--jobs` workers each drive their own device.
+    // The budget that turns an array's devices into threads: monotone in
+    // the device count, never above it, never below one, and divided (not
+    // multiplied) across `--jobs` cell workers, so the threads of all cells
+    // together stay within the host's parallelism.
+    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut prev = 0usize;
-    for shards in 0u32..=8 {
-        let w = worker_budget(shards, 1);
+    for devices in 0u32..=8 {
+        let w = worker_budget(devices, 1);
         assert!(w >= 1, "budget must always allow inline execution");
         assert!(
-            w <= shards.max(1) as usize,
-            "budget exceeds the shard request: {w} > {shards}"
+            w <= devices.max(1) as usize,
+            "budget exceeds the device count: {w} > {devices}"
         );
-        assert!(w >= prev, "budget must be monotone in shards");
+        assert!(w >= prev, "budget must be monotone in devices");
         prev = w;
     }
-    for jobs in 1usize..=4 {
-        assert!(
-            worker_budget(4, jobs) <= worker_budget(4, 1),
-            "more concurrent jobs must never widen the per-run budget"
-        );
+    for jobs in 1usize..=2 * avail + 1 {
+        for devices in [1u32, 2, 4, 16] {
+            let w = worker_budget(devices, jobs);
+            assert!(
+                jobs * w <= avail.max(jobs),
+                "{jobs} jobs x {w} device workers oversubscribe {avail} CPUs"
+            );
+            assert!(
+                w <= worker_budget(devices, 1),
+                "more concurrent jobs must never widen the per-run budget"
+            );
+        }
     }
-}
-
-#[test]
-fn sharded_speedup_smoke_stays_within_sync_overhead_bounds() {
-    // A wall-clock smoke, not a benchmark: on a multi-core host the sharded
-    // engine should speed up, and on any host the windowed-barrier
-    // synchronization must not make `--shards 4` pathologically slower than
-    // the serial pass over the same events. The loose factor keeps the test
-    // meaningful (it catches a sync-protocol regression that serializes on
-    // locks) without flaking under CI load.
-    let rpt = ReadTimingParamTable::default();
-    let base = gc_stress_cfg().with_condition(OperatingCondition::new(2000.0, 6.0, 30.0));
-    let footprint = base.max_lpns();
-    let trace = ssd_readretry::workloads::synth::gc_stress_trace(footprint, 4_000).requests;
-    let front = HostQueueConfig::single(Mode::closed_loop(16));
-    let timed = |workers: usize| {
-        let mut arena = ShardArena::new();
-        let t0 = Instant::now();
-        let report = run_sharded_queued_from(
-            &mut arena,
-            base.clone(),
-            &|| Mechanism::PnAr2.make_controller(&rpt),
-            footprint,
-            &trace,
-            &front,
-            None,
-            workers,
-        )
-        .expect("valid configuration");
-        (report, t0.elapsed().as_secs_f64())
-    };
-    // Warm-up run so allocator effects don't skew the first measurement.
-    let _ = timed(1);
-    let (serial, serial_wall) = timed(1);
-    let (wide, wide_wall) = timed(worker_budget(4, 1));
-    assert_eq!(serial, wide, "worker count changed the report");
-    assert!(
-        wide_wall < serial_wall * 10.0 + 0.05,
-        "sharded run is pathologically slower than serial: \
-         {wide_wall:.3}s vs {serial_wall:.3}s"
-    );
 }
