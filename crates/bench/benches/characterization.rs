@@ -1,6 +1,7 @@
 //! Benches for the characterization figures (`fig4b`, `fig5`, `fig7`,
 //! `fig8`, `fig9`, `fig10`, `fig11`) and `table1`: each iteration regenerates
-//! the figure's data series on a reduced chip population.
+//! the figure's data series on a reduced chip population. `fig11` also runs
+//! at paper scale (160 chips × 256 pages), the size `repro fig11` measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rr_charact::figures;
@@ -13,6 +14,8 @@ use std::hint::black_box;
 
 const CHIPS: usize = 8;
 const PAGES: usize = 64;
+/// Pages sampled per chip by `repro` at paper scale.
+const PAPER_PAGES: usize = 256;
 
 fn table1(c: &mut Criterion) {
     let mut g = c.benchmark_group("table1");
@@ -94,6 +97,10 @@ fn fig11(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("safe_tpre_search", |b| {
         b.iter(|| black_box(figures::fig11(&mut platform, PAGES / 2)))
+    });
+    let mut paper = TestPlatform::paper_scale(1);
+    g.bench_function("safe_tpre_search/paper_scale", |b| {
+        b.iter(|| black_box(figures::fig11(&mut paper, PAPER_PAGES)))
     });
     g.bench_function("rpt_from_calibration", |b| {
         b.iter(|| {

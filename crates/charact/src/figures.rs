@@ -6,7 +6,9 @@
 //! paper-vs-measured comparison.
 
 use crate::platform::{TestPage, TestPlatform};
-use rr_flash::calibration::{ECC_CAPABILITY_PER_KIB, RPT_SAFETY_MARGIN_BITS};
+use rr_flash::calibration::{
+    ECC_CAPABILITY_PER_KIB, RPT_SAFETY_MARGIN_BITS, TPRE_MAX_PROFILED_REDUCTION,
+};
 use rr_flash::timing::SensePhases;
 use rr_util::stats::Histogram;
 use serde::{Deserialize, Serialize};
@@ -196,26 +198,28 @@ pub fn fig8(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig8Series> {
         (TimingParam::Eval, &[0.0, 0.05, 0.1, 0.15, 0.2]),
         (TimingParam::Disch, &[0.0, 0.07, 0.14, 0.2, 0.27, 0.34, 0.4]),
     ];
+    let conditions: Vec<(f64, f64)> = PEC_SWEEP
+        .iter()
+        .flat_map(|&pec| [0.0, 6.0, 12.0].map(|months| (pec, months)))
+        .collect();
+    let page_sweeps: Vec<_> = conditions
+        .iter()
+        .map(|&(pec, months)| platform.page_sweep(&pages, pec, months))
+        .collect();
     let mut out = Vec::new();
     for (param, reductions) in sweeps {
-        for &pec in &PEC_SWEEP {
-            for &months in &[0.0, 6.0, 12.0] {
-                let base = platform.measure_m_err(&pages, pec, months) as i64;
-                let points = reductions
-                    .iter()
-                    .map(|&x| {
-                        let phases = param.phases(x);
-                        let m = platform.measure_m_err_with_phases(&pages, pec, months, &phases);
-                        (x, m as i64 - base)
-                    })
-                    .collect();
-                out.push(Fig8Series {
-                    param,
-                    pec,
-                    months,
-                    points,
-                });
-            }
+        for (&(pec, months), sweep) in conditions.iter().zip(&page_sweeps) {
+            let base = sweep.m_err(&SensePhases::table1()) as i64;
+            let points = reductions
+                .iter()
+                .map(|&x| (x, sweep.m_err(&param.phases(x)) as i64 - base))
+                .collect();
+            out.push(Fig8Series {
+                param,
+                pec,
+                months,
+                points,
+            });
         }
     }
     out
@@ -253,10 +257,11 @@ pub fn fig9(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig9Cell> {
     let disch_sweep = [0.0, 0.07, 0.14, 0.2, 0.27, 0.34, 0.4];
     let mut out = Vec::new();
     for (pec, months) in conditions {
+        let sweep = platform.page_sweep(&pages, pec, months);
         for &d_pre in &pre_sweep {
             for &d_disch in &disch_sweep {
                 let phases = SensePhases::table1().with_reduction(d_pre, 0.0, d_disch);
-                let m_err = platform.measure_m_err_with_phases(&pages, pec, months, &phases);
+                let m_err = sweep.m_err(&phases);
                 out.push(Fig9Cell {
                     pec,
                     months,
@@ -294,19 +299,28 @@ pub fn fig10(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig10Cell> {
     let mut out = Vec::new();
     for &months in &[0.0, 12.0] {
         for &pec in &PEC_SWEEP {
-            for &d_pre in &pre_sweep {
-                let phases = SensePhases::table1().with_reduction(d_pre, 0.0, 0.0);
-                platform.set_temperature(85.0);
-                let hot = platform.measure_m_err_with_phases(&pages, pec, months, &phases);
-                for &temp in &[55.0, 30.0] {
-                    platform.set_temperature(temp);
-                    let cold = platform.measure_m_err_with_phases(&pages, pec, months, &phases);
+            // M_ERR at `temp` for every entry of `pre_sweep`.
+            let mut m_err_at = |temp: f64| -> Vec<i64> {
+                platform.set_temperature(temp);
+                let sweep = platform.page_sweep(&pages, pec, months);
+                pre_sweep
+                    .iter()
+                    .map(|&d_pre| {
+                        let phases = SensePhases::table1().with_reduction(d_pre, 0.0, 0.0);
+                        sweep.m_err(&phases) as i64
+                    })
+                    .collect()
+            };
+            let hot = m_err_at(85.0);
+            let cold = [55.0, 30.0].map(|temp| (temp, m_err_at(temp)));
+            for (i, &d_pre) in pre_sweep.iter().enumerate() {
+                for (temp_c, m_err) in &cold {
                     out.push(Fig10Cell {
-                        temp_c: temp,
+                        temp_c: *temp_c,
                         pec,
                         months,
                         d_pre,
-                        extra_errors: cold as i64 - hot as i64,
+                        extra_errors: m_err[i] - hot[i],
                     });
                 }
             }
@@ -361,11 +375,11 @@ pub fn max_safe_reduction(
     pec: f64,
     months: f64,
 ) -> (f64, u32) {
-    let mut best = (0.0, platform.measure_m_err(pages, pec, months));
+    let sweep = platform.page_sweep(pages, pec, months);
+    let mut best = (0.0, sweep.m_err(&SensePhases::table1()));
     let mut x = 0.02f64;
-    while x <= 0.54 + 1e-9 {
-        let phases = SensePhases::table1().with_reduction(x, 0.0, 0.0);
-        let m = platform.measure_m_err_with_phases(pages, pec, months, &phases);
+    while x <= TPRE_MAX_PROFILED_REDUCTION + 1e-9 {
+        let m = sweep.m_err(&SensePhases::table1().with_reduction(x, 0.0, 0.0));
         if m + RPT_SAFETY_MARGIN_BITS <= ECC_CAPABILITY_PER_KIB {
             best = (x, m);
         }

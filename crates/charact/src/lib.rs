@@ -35,4 +35,4 @@ pub mod figures;
 pub mod platform;
 
 pub use figures::{fig10, fig11, fig4b, fig5, fig7, fig8, fig9};
-pub use platform::{TestPage, TestPlatform};
+pub use platform::{PageSweep, TestPage, TestPlatform};

@@ -52,8 +52,10 @@ impl TestPlatform {
     /// Panics if `n_chips` is zero.
     pub fn new(n_chips: usize, seed: u64) -> Self {
         assert!(n_chips > 0, "a platform needs at least one chip");
+        // Page sweeps derive each page once per condition, so the
+        // simulator's profile memo would only cost memory here.
         let chips = (0..n_chips)
-            .map(|i| ErrorModel::new(seed ^ (0xC41F_0000 + i as u64)))
+            .map(|i| ErrorModel::new(seed ^ (0xC41F_0000 + i as u64)).with_profile_cache(false))
             .collect();
         Self {
             chips,
@@ -125,12 +127,6 @@ impl TestPlatform {
         self.chips[p.chip].required_step_index(p.page, self.condition(pec, months))
     }
 
-    /// Raw bit errors per worst codeword at the final retry step with
-    /// default timing (the per-page quantity under Fig. 7's max).
-    pub fn final_errors(&self, p: TestPage, pec: f64, months: f64) -> u32 {
-        self.chips[p.chip].final_step_errors(p.page, self.condition(pec, months))
-    }
-
     /// Raw bit errors when reading at `step` with explicit sensing phases
     /// (the platform's `SET FEATURE` + read test of §4).
     pub fn errors_at(
@@ -144,13 +140,33 @@ impl TestPlatform {
         self.chips[p.chip].errors_at_step(p.page, self.condition(pec, months), step, phases)
     }
 
+    /// Derives the per-page inputs of M_ERR for a sample at one operating
+    /// condition (and the current chamber temperature), so that any number
+    /// of sensing-phase sets can then be measured against it with
+    /// [`PageSweep::m_err`].
+    pub fn page_sweep(&self, pages: &[TestPage], pec: f64, months: f64) -> PageSweep<'_> {
+        let cond = self.condition(pec, months);
+        let pages = pages
+            .iter()
+            .map(|p| {
+                let chip = &self.chips[p.chip];
+                SweepPage {
+                    chip: p.chip,
+                    final_errors: chip.final_step_errors(p.page, cond),
+                    penalty_factor: chip.timing_penalty_factor(p.page),
+                }
+            })
+            .collect();
+        PageSweep {
+            chips: &self.chips,
+            cond,
+            pages,
+        }
+    }
+
     /// Max final-step errors across a page sample — the measured M_ERR.
     pub fn measure_m_err(&self, pages: &[TestPage], pec: f64, months: f64) -> u32 {
-        pages
-            .iter()
-            .map(|&p| self.final_errors(p, pec, months))
-            .max()
-            .unwrap_or(0)
+        self.measure_m_err_with_phases(pages, pec, months, &SensePhases::table1())
     }
 
     /// Max final-step errors across a sample when reading with reduced
@@ -162,11 +178,70 @@ impl TestPlatform {
         months: f64,
         phases: &SensePhases,
     ) -> u32 {
-        pages
+        self.page_sweep(pages, pec, months).m_err(phases)
+    }
+}
+
+/// One sampled page's share of a [`PageSweep`].
+#[derive(Debug)]
+struct SweepPage {
+    chip: usize,
+    final_errors: u32,
+    penalty_factor: f64,
+}
+
+/// A page sample's per-page M_ERR inputs at one operating condition, built
+/// by [`TestPlatform::page_sweep`].
+///
+/// Read at its required retry step, a page is on the near-optimal plateau,
+/// so its errors under sensing phases `phases` are
+/// `round(final_errors + delta_m_err(cond, phases) · penalty_factor)`: the
+/// first and last terms depend only on (page, condition), the middle one
+/// only on (chip calibration, condition, phases). The sweep stores the
+/// per-page terms once, and every phase set costs one `delta_m_err` per chip
+/// plus a multiply–round–max pass over the pages.
+///
+/// # Example
+///
+/// ```
+/// use rr_charact::platform::TestPlatform;
+/// use rr_flash::timing::SensePhases;
+///
+/// let platform = TestPlatform::new(4, 42);
+/// let pages = platform.sample_pages(50);
+/// let sweep = platform.page_sweep(&pages, 2000.0, 12.0);
+/// let default = sweep.m_err(&SensePhases::table1());
+/// let reduced = sweep.m_err(&SensePhases::table1().with_reduction(0.4, 0.0, 0.0));
+/// assert!(reduced > default);
+/// ```
+#[derive(Debug)]
+pub struct PageSweep<'a> {
+    chips: &'a [ErrorModel],
+    cond: OperatingCondition,
+    pages: Vec<SweepPage>,
+}
+
+impl PageSweep<'_> {
+    /// Max errors across the sample, each page read at its required retry
+    /// step with sensing phases `phases` — the measured M_ERR under them.
+    pub fn m_err(&self, phases: &SensePhases) -> u32 {
+        let default = SensePhases::table1();
+        let pre = default.pre_reduction_vs(phases);
+        let eval = default.eval_reduction_vs(phases);
+        let disch = default.disch_reduction_vs(phases);
+        if pre == 0.0 && eval == 0.0 && disch == 0.0 {
+            return self.pages.iter().map(|p| p.final_errors).max().unwrap_or(0);
+        }
+        let max_penalty: Vec<f64> = self
+            .chips
             .iter()
-            .map(|&p| {
-                let n = self.required_steps(p, pec, months);
-                self.errors_at(p, pec, months, n, phases)
+            .map(|chip| chip.calibration().delta_m_err(self.cond, pre, eval, disch))
+            .collect();
+        self.pages
+            .iter()
+            .map(|p| {
+                let penalty = max_penalty[p.chip] * p.penalty_factor;
+                (p.final_errors as f64 + penalty).round() as u32
             })
             .max()
             .unwrap_or(0)
@@ -194,6 +269,57 @@ mod tests {
             per_chip[0] != per_chip[1] || per_chip[1] != per_chip[2],
             "chip instances must differ"
         );
+    }
+
+    #[test]
+    fn page_sweep_matches_the_per_page_measurement() {
+        let mut platform = TestPlatform::new(6, 77);
+        let pages = platform.sample_pages(24);
+        let default = SensePhases::table1();
+        // Fig. 8's single-parameter sweeps, Fig. 9's joint grid, Fig. 11's
+        // tPRE search, and tPRE at and past the hard-fail boundary.
+        let mut reductions = vec![(0.0, 0.0, 0.0)];
+        for x in [0.1, 0.2, 0.3, 0.4, 0.47, 0.54] {
+            reductions.push((x, 0.0, 0.0));
+        }
+        for x in [0.05, 0.1, 0.15, 0.2] {
+            reductions.push((0.0, x, 0.0));
+        }
+        for pre in [0.0, 0.14, 0.27, 0.4, 0.47, 0.54] {
+            for disch in [0.07, 0.14, 0.2, 0.27, 0.34, 0.4] {
+                reductions.push((pre, 0.0, disch));
+            }
+        }
+        for i in 1..=27 {
+            reductions.push((0.02 * i as f64, 0.0, 0.0));
+        }
+        reductions.extend([(0.58, 0.0, 0.0), (0.6, 0.0, 0.0)]);
+        for temp in [85.0, 55.0, 30.0] {
+            platform.set_temperature(temp);
+            for pec in [0.0, 1000.0, 2000.0] {
+                for months in [0.0, 3.0, 6.0, 9.0, 12.0] {
+                    let sweep = platform.page_sweep(&pages, pec, months);
+                    let steps: Vec<u32> = pages
+                        .iter()
+                        .map(|&p| platform.required_steps(p, pec, months))
+                        .collect();
+                    for &(pre, eval, disch) in &reductions {
+                        let phases = default.with_reduction(pre, eval, disch);
+                        let naive = pages
+                            .iter()
+                            .zip(&steps)
+                            .map(|(&p, &n)| platform.errors_at(p, pec, months, n, &phases))
+                            .max()
+                            .unwrap();
+                        assert_eq!(
+                            sweep.m_err(&phases),
+                            naive,
+                            "{temp} °C, ({pec}, {months}), reductions ({pre}, {eval}, {disch})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

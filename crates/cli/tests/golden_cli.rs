@@ -1,6 +1,8 @@
-//! Golden stdout of the `repro` binary: the standard evaluation commands must
-//! print exactly the bytes recorded in `tests/golden/`, and the options of
-//! the removed event engines must fail with a one-line message.
+//! Golden stdout of the `repro` binary: the standard evaluation and
+//! characterization commands must print exactly the bytes recorded in
+//! `tests/golden/`, and the options of the removed event engines must fail
+//! with a one-line message. The `*_paper.txt` files pin `fig5` and `fig11`
+//! at paper scale; CI diffs them against the release binary.
 //!
 //! The golden files pin the simulated results byte for byte, so any change
 //! to them shows up here as a diff. To re-record after an intended output
@@ -108,6 +110,13 @@ fn serve_quick_matches_golden() {
         &["serve", "--quick"],
         Some("mds_1 PnAR2 8\nmds_1 Baseline 4\nquit\n"),
     );
+}
+
+#[test]
+fn characterization_figures_quick_match_golden() {
+    for fig in ["fig4b", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11"] {
+        assert_golden(&format!("{fig}_quick.txt"), &[fig, "--quick"], None);
+    }
 }
 
 #[test]

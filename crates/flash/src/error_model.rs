@@ -139,8 +139,8 @@ const PROFILE_CACHE_SLOTS_LOG2: u32 = 15;
 /// Linear-probe window of the profile table.
 const PROFILE_CACHE_PROBE: usize = 4;
 /// Conditions memoized per model. A simulation run sees at most two (cold
-/// and freshly-written data); characterization sweeps that exceed the cap
-/// simply bypass the cache for the extra conditions.
+/// and freshly-written data); a caller that exceeds the cap simply bypasses
+/// the cache for the extra conditions.
 const MAX_COND_SHARDS: usize = 8;
 /// Distinct (condition, sensing-phase) timing penalties memoized per model.
 const MAX_PENALTY_MEMOS: usize = 32;
@@ -395,6 +395,16 @@ impl ErrorModel {
         }
     }
 
+    /// The page's share of the population-max timing penalty, in
+    /// `[0.6, 1.0]`: the max is attained by the worst pages, which is what
+    /// the 14-bit RPT margin is sized against. On the near-optimal plateau,
+    /// [`Self::errors_at_step`] is exactly
+    /// `round(final_errors + delta_m_err(cond, …) · factor)`.
+    #[inline]
+    pub fn timing_penalty_factor(&self, page: PageId) -> f64 {
+        0.6 + 0.4 * self.stationary_u(page.page_key(), 0xde17a)
+    }
+
     /// The population-max timing penalty for reading under `cond` with the
     /// given reduction fractions, memoized per (condition, reductions).
     fn max_timing_penalty(&self, cond: OperatingCondition, pre: f64, eval: f64, disch: f64) -> f64 {
@@ -441,12 +451,8 @@ impl ErrorModel {
         let timing_penalty = if pre == 0.0 && eval == 0.0 && disch == 0.0 {
             0.0
         } else {
-            // Population-max penalty scaled by a per-page factor in
-            // [0.6, 1.0]; the max is attained by the worst pages, which is
-            // what the 14-bit RPT margin is sized against.
             let max_penalty = self.max_timing_penalty(cond, pre, eval, disch);
-            let u = self.stationary_u(page.page_key(), 0xde17a);
-            max_penalty * (0.6 + 0.4 * u)
+            max_penalty * self.timing_penalty_factor(page)
         };
 
         let profile = self.page_profile(page, cond);
@@ -735,6 +741,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn penalty_factor_reproduces_errors_at_the_required_step() {
+        let m = ErrorModel::new(0x5A).with_outlier_rate(0.05);
+        let default = SensePhases::table1();
+        let reductions = [
+            (0.0, 0.0, 0.0),
+            (0.3, 0.0, 0.0),
+            (0.54, 0.0, 0.0),
+            (0.58, 0.0, 0.0),
+            (0.0, 0.2, 0.0),
+            (0.4, 0.0, 0.2),
+        ];
+        let mut outliers = 0;
+        for c in [cond(0.0, 0.0), cond(1000.0, 6.0), cond(2000.0, 12.0)] {
+            for p in sample_pages(400) {
+                let step = m.required_step_index(p, c);
+                let final_errors = m.final_step_errors(p, c) as f64;
+                outliers += usize::from(m.is_outlier(p));
+                for (pre, eval, disch) in reductions {
+                    let phases = default.with_reduction(pre, eval, disch);
+                    let measured = (
+                        default.pre_reduction_vs(&phases),
+                        default.eval_reduction_vs(&phases),
+                        default.disch_reduction_vs(&phases),
+                    );
+                    let penalty = if measured == (0.0, 0.0, 0.0) {
+                        0.0
+                    } else {
+                        let (pre, eval, disch) = measured;
+                        m.calibration().delta_m_err(c, pre, eval, disch)
+                            * m.timing_penalty_factor(p)
+                    };
+                    assert_eq!(
+                        m.errors_at_step(p, c, step, &phases),
+                        (final_errors + penalty).round() as u32,
+                        "page {p:?}, reductions ({pre}, {eval}, {disch})"
+                    );
+                }
+            }
+        }
+        assert!(outliers > 0, "the sample must contain outlier pages");
     }
 
     #[test]
