@@ -29,9 +29,10 @@ fn event_queue(c: &mut Criterion) {
         b.iter(|| black_box(drive(EventQueue::new())))
     });
     // Steady-state shape: a bounded working set sliding forward in time,
-    // closer to the simulator's lazy-admission event population.
-    let steady = |mut q: EventQueue<u64>| {
-        for i in 0..64u64 {
+    // closer to the simulator's lazy-admission event population. Depth 8 is
+    // the mean pending-event count of the Fig. 14 matrix.
+    let steady = |mut q: EventQueue<u64>, depth: u64| {
+        for i in 0..depth {
             q.push(SimTime::from_ns(i * 997), i);
         }
         let mut acc = 0u64;
@@ -42,9 +43,11 @@ fn event_queue(c: &mut Criterion) {
         }
         acc
     };
-    g.bench_function("steady_state_64", |b| {
-        b.iter(|| black_box(steady(EventQueue::new())))
-    });
+    for depth in [8, 64] {
+        g.bench_function(format!("steady_state_{depth}"), |b| {
+            b.iter(|| black_box(steady(EventQueue::new(), depth)))
+        });
+    }
     g.finish();
 }
 

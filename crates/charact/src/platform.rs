@@ -52,10 +52,8 @@ impl TestPlatform {
     /// Panics if `n_chips` is zero.
     pub fn new(n_chips: usize, seed: u64) -> Self {
         assert!(n_chips > 0, "a platform needs at least one chip");
-        // Page sweeps derive each page once per condition, so the
-        // simulator's profile memo would only cost memory here.
         let chips = (0..n_chips)
-            .map(|i| ErrorModel::new(seed ^ (0xC41F_0000 + i as u64)).with_profile_cache(false))
+            .map(|i| ErrorModel::new(seed ^ (0xC41F_0000 + i as u64)))
             .collect();
         Self {
             chips,

@@ -1462,8 +1462,8 @@ struct PerfRecord {
     key: PerfKey,
     /// The removed event engine an old archive line measured — `"wheel"`
     /// for `"wheel": true`, `"shards=N"` for `"shards" > 0` — or `None` for
-    /// the one serial heap engine every current run measures. Lines without
-    /// either field are heap runs too.
+    /// the one serial engine every current run measures. Lines without
+    /// either field are runs of it too.
     retired_engine: Option<String>,
     events_per_sec: f64,
 }
@@ -1680,10 +1680,15 @@ impl PerfRow {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s.max(1e-9)
     }
+
+    /// End-to-end throughput: simulated host requests per host second.
+    fn requests_per_sec(&self) -> f64 {
+        self.requests as f64 / self.wall_s.max(1e-9)
+    }
 }
 
-/// Measures simulator throughput (events/sec) over the evaluation matrix and
-/// both load sweeps, prints a summary, and writes `BENCH_sim.json` so the
+/// Measures simulator throughput (events/sec, and host requests/sec end to
+/// end) over the evaluation matrix and both load sweeps, prints a summary, and writes `BENCH_sim.json` so the
 /// numbers accumulate as a tracked artifact. Every run is also appended to
 /// the `BENCH_history.jsonl` archive and checked against the trailing median
 /// of comparable runs (see [`perf_gate`]). Returns `false` (CLI failure) if
@@ -1691,7 +1696,8 @@ impl PerfRow {
 pub fn perf(opts: &Options) -> bool {
     heading(
         "Perf — simulator hot-path throughput",
-        "events/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
+        "events/sec and host requests/sec over the Fig. 14 matrix and the QD/rate sweeps; \
+         written to BENCH_sim.json",
     );
     let base = opts.sim_base();
     let point = OperatingPoint::new(2000.0, 6.0);
@@ -1756,6 +1762,7 @@ pub fn perf(opts: &Options) -> bool {
                 r.events.to_string(),
                 format!("{:.3}", r.wall_s),
                 format!("{:.0}", r.events_per_sec()),
+                format!("{:.0}", r.requests_per_sec()),
             ]
         })
         .collect();
@@ -1768,6 +1775,7 @@ pub fn perf(opts: &Options) -> bool {
                 "events".into(),
                 "wall (s)".into(),
                 "events/sec".into(),
+                "host req/s".into(),
             ],
             &table
         )
@@ -1792,13 +1800,14 @@ pub fn perf(opts: &Options) -> bool {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"cells\": {}, \"requests\": {}, \"events\": {}, \
-             \"wall_s\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
+             \"wall_s\": {:.6}, \"events_per_sec\": {:.1}, \"requests_per_sec\": {:.1}}}{}\n",
             r.name,
             r.cells,
             r.requests,
             r.events,
             r.wall_s,
             r.events_per_sec(),
+            r.requests_per_sec(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

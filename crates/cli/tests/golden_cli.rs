@@ -1,8 +1,9 @@
 //! Golden stdout of the `repro` binary: the standard evaluation and
 //! characterization commands must print exactly the bytes recorded in
 //! `tests/golden/`, and the options of the removed event engines must fail
-//! with a one-line message. The `*_paper.txt` files pin `fig5` and `fig11`
-//! at paper scale; CI diffs them against the release binary.
+//! with a one-line message. The `*_paper.txt` files pin `fig5`, `fig11`,
+//! `fig14`, `sweep-qd` and the replicated GC-stress array at paper scale;
+//! CI diffs them against the release binary.
 //!
 //! The golden files pin the simulated results byte for byte, so any change
 //! to them shows up here as a diff. To re-record after an intended output

@@ -62,34 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn profile_cache_never_changes_required_step_index(
-        blocks in prop::collection::vec(0u64..4096, 1..40),
-        page in 0u32..1152,
-        pec in prop::sample::select(vec![0.0, 500.0, 1000.0, 2000.0]),
-        months in prop::sample::select(vec![0.0, 3.0, 6.0, 12.0]),
-        seed in any::<u64>(),
-    ) {
-        // The memoized model must agree with the ground-truth derivation on
-        // every query, including repeats (warm hits) and the colliding keys
-        // a short block list revisits.
-        let cached = ErrorModel::new(seed);
-        let plain = ErrorModel::new(seed).with_profile_cache(false);
-        let cond = OperatingCondition::new(pec, months, 30.0);
-        for _ in 0..2 {
-            for &block in &blocks {
-                let id = PageId::new(block, page);
-                let profile = cached.page_profile(id, cond);
-                prop_assert_eq!(profile.required_step, plain.required_step_index(id, cond));
-                prop_assert_eq!(profile.final_errors, plain.final_step_errors(id, cond));
-                prop_assert_eq!(
-                    cached.errors_at_step(id, cond, profile.required_step, &SensePhases::table1()),
-                    plain.errors_at_step(id, cond, profile.required_step, &SensePhases::table1())
-                );
-            }
-        }
-    }
-
-    #[test]
     fn rpt_style_reduction_never_breaks_final_step(
         block in any::<u64>(),
         page in 0u32..1152,

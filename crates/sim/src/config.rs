@@ -117,9 +117,6 @@ pub struct SsdConfig {
 /// footprint; production configurations leave everything on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotpathConfig {
-    /// Memoize per-(page, condition) read profiles inside the flash error
-    /// model instead of re-deriving the stationary noise on every sense.
-    pub profile_cache: bool,
     /// Recycle completed transaction records (and their sense buffers)
     /// through a free list instead of growing the transaction slab forever.
     pub txn_slab_reuse: bool,
@@ -128,7 +125,6 @@ pub struct HotpathConfig {
 impl Default for HotpathConfig {
     fn default() -> Self {
         Self {
-            profile_cache: true,
             txn_slab_reuse: true,
         }
     }

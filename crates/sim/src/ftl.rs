@@ -99,7 +99,7 @@ pub struct WriteAlloc {
 /// assert_ne!(alloc.ppn, ppn, "overwrite moves the page");
 /// assert!(!ftl.is_cold(42));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ftl {
     // Geometry (copied out of the config for locality).
     channels: u32,
@@ -505,26 +505,45 @@ impl Ftl {
     /// The returned [`FtlState`] is the device-side half of a
     /// [`crate::snapshot::DeviceImage`]; feeding it back through
     /// [`Ftl::restore`] reproduces this FTL bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the captured state fails [`FtlState`]'s consistency check:
+    /// a live FTL that does is a simulator bug.
     pub fn capture(&self) -> FtlState {
-        FtlState {
+        self.clone().into_state()
+    }
+
+    /// [`Ftl::capture`] for an FTL that is no longer needed: moves the
+    /// tables into the state instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ftl::capture`].
+    pub fn into_state(self) -> FtlState {
+        let state = FtlState {
             channels: self.channels,
             dies_per_chip: self.dies_per_chip,
             planes_per_die: self.planes_per_die,
             blocks_per_plane: self.blocks_per_plane,
             pages_per_block: self.pages_per_block,
             lpn_count: self.lpn_count,
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            blocks: self.blocks.clone(),
+            map: self.map,
+            rmap: self.rmap,
+            blocks: self.blocks,
             open_block: self
                 .open_block
                 .iter()
                 .map(|b| b.unwrap_or(UNMAPPED))
                 .collect(),
-            free_blocks: self.free_blocks.clone(),
+            free_blocks: self.free_blocks,
             next_plane: self.next_plane,
-            fresh: self.fresh.clone(),
-        }
+            fresh: self.fresh,
+        };
+        state
+            .check_consistency()
+            .expect("a live FTL captures a consistent image");
+        state
     }
 
     /// Restores a previously captured state into this FTL, reusing its
@@ -536,14 +555,19 @@ impl Ftl {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when `cfg` is invalid, when the state was
-    /// captured under a different geometry, or when the state is internally
-    /// inconsistent (a decoded image that passed its checksum but whose
-    /// fields contradict each other must still never build a silently wrong
-    /// device).
+    /// captured under a different geometry, or when its footprint exceeds
+    /// `cfg`'s capacity.
+    ///
+    /// The tables themselves are not rescanned here. An [`FtlState`] has
+    /// private fields and no `&mut` methods, and its only sources —
+    /// [`Ftl::into_state`] (behind [`Ftl::capture`]) and
+    /// [`FtlState::decode`] — both run its structural consistency check, so
+    /// every state `restore` can receive was checked once, when it was made.
+    /// Forking one image into many cells therefore validates it once, not
+    /// once per cell.
     pub fn restore(&mut self, cfg: &SsdConfig, state: &FtlState) -> Result<(), ConfigError> {
         cfg.validate().map_err(ConfigError::new)?;
         state.check_geometry(cfg)?;
-        state.check_consistency()?;
         if state.lpn_count > cfg.max_lpns() {
             return Err(ConfigError::new(format!(
                 "image footprint of {} pages exceeds usable capacity of {} pages",
@@ -585,12 +609,24 @@ impl Ftl {
     }
 }
 
+/// One past the largest entry of a mapping table, ignoring the `u32::MAX`
+/// sentinel ([`UNMAPPED`] / [`NO_LPN`]); 0 when every entry is the sentinel.
+/// `wrapping_add(1)` sends the sentinel to 0, which keeps the scan free of
+/// branches and early exits: it runs over every captured image's
+/// million-entry tables.
+fn index_end(table: &[u32]) -> u64 {
+    table.iter().fold(0, |end, &v| end.max(v.wrapping_add(1))) as u64
+}
+
 /// A verbatim snapshot of an [`Ftl`]'s mutable state.
 ///
-/// Produced by [`Ftl::capture`], consumed by [`Ftl::restore`], and carried
+/// Produced by [`Ftl::capture`] / [`Ftl::into_state`] or
+/// [`FtlState::decode`], consumed by [`Ftl::restore`], and carried
 /// inside a [`crate::snapshot::DeviceImage`]. The geometry fields pin the
 /// configuration the snapshot was taken under; restore refuses a mismatched
-/// target instead of reinterpreting the tables.
+/// target instead of reinterpreting the tables. Every value of this type is
+/// structurally consistent: every constructor checks it, and nothing can
+/// change it afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FtlState {
     channels: u32,
@@ -697,19 +733,13 @@ impl FtlState {
         if self.next_plane as u64 >= planes {
             return bad(format!("striping cursor {} out of range", self.next_plane));
         }
-        if let Some(&m) = self
-            .map
-            .iter()
-            .find(|&&m| m != UNMAPPED && m as u64 >= pages)
-        {
-            return bad(format!("map points at nonexistent page {m}"));
+        let map_end = index_end(&self.map);
+        if map_end > pages {
+            return bad(format!("map points at nonexistent page {}", map_end - 1));
         }
-        if let Some(&r) = self
-            .rmap
-            .iter()
-            .find(|&&r| r != NO_LPN && r as u64 >= self.lpn_count)
-        {
-            return bad(format!("rmap names out-of-footprint lpn {r}"));
+        let rmap_end = index_end(&self.rmap);
+        if rmap_end > self.lpn_count {
+            return bad(format!("rmap names out-of-footprint lpn {}", rmap_end - 1));
         }
         for meta in &self.blocks {
             if meta.next_page > self.pages_per_block || meta.valid_count > self.pages_per_block {
@@ -761,7 +791,8 @@ impl FtlState {
     }
 
     /// Reads a state previously written by [`FtlState::encode`] and verifies
-    /// its structural consistency.
+    /// its structural consistency — the only place an image from outside the
+    /// process enters, and so the only check an inconsistent one meets.
     ///
     /// # Errors
     ///
@@ -1085,6 +1116,28 @@ mod tests {
             FtlState::decode(&mut dec),
             Err(CodecError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn decode_rejects_an_rmap_naming_an_out_of_footprint_lpn() {
+        let cfg = small_cfg();
+        let mut bad = aged_ftl(&cfg).capture();
+        let page = bad
+            .rmap
+            .iter()
+            .position(|&r| r != NO_LPN)
+            .expect("an aged FTL maps pages");
+        bad.rmap[page] = bad.lpn_count as u32;
+        let mut enc = Encoder::new(*b"FTLTEST\0", 1);
+        bad.encode(&mut enc);
+        let bytes = enc.finish();
+        let mut dec = Decoder::new(&bytes, *b"FTLTEST\0").unwrap();
+        match FtlState::decode(&mut dec) {
+            Err(CodecError::Invalid { what }) => {
+                assert!(what.contains("out-of-footprint lpn"), "{what}")
+            }
+            other => panic!("expected a typed invalid-image error, got {other:?}"),
+        }
     }
 
     #[test]

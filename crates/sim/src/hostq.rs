@@ -215,7 +215,7 @@ struct SqState {
 /// feeding per-queue submission queues, drained through the device-side
 /// [`Arbiter`] under the admission window.
 ///
-/// The front end shares the simulator's one event heap, transaction slab,
+/// The front end shares the simulator's one event queue, transaction slab,
 /// and arena — queues are striped views of the single trace, never clones of
 /// the simulation state.
 #[derive(Debug)]

@@ -177,9 +177,9 @@ fn scale_arrival(t: SimTime, rate_ppm: u64) -> SimTime {
 /// Owns the not-yet-admitted backlog; the simulator asks it for the initial
 /// admissions up front, then for one follow-up admission per processed
 /// arrival (open loop) or per completed request (closed loop). Feeding
-/// open-loop arrivals one at a time keeps the event heap as small as the
+/// open-loop arrivals one at a time keeps the event queue as small as the
 /// device's actual concurrency instead of as deep as the whole trace —
-/// a large constant-factor win on heap sift costs.
+/// a large constant-factor win on every push.
 #[derive(Debug)]
 pub(crate) enum LoadGenerator {
     /// Open loop: arrivals not yet scheduled, in trace order, with their
@@ -289,7 +289,7 @@ mod tests {
         let t = trace(3);
         let (mut generator, initial) = LoadGenerator::start(ReplayMode::OpenLoop, &t);
         // Only the first arrival is scheduled eagerly; the rest feed in one
-        // per processed arrival so the event heap stays shallow.
+        // per processed arrival so the event queue stays shallow.
         assert_eq!(initial.len(), 1);
         assert_eq!(initial[0].0, SimTime::ZERO);
         assert_eq!(

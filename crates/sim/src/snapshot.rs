@@ -120,7 +120,7 @@ impl DeviceImage {
         let mut ftl = Ftl::new(cfg, lpn_count)?;
         ftl.precondition();
         Ok(Self {
-            ftl: ftl.capture(),
+            ftl: ftl.into_state(),
             model: ModelState {
                 seed: cfg.seed,
                 outlier_rate: cfg.outlier_rate,

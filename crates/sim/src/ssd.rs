@@ -33,9 +33,15 @@ use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
 use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp, Transfer};
 use crate::snapshot::DeviceImage;
 use rr_flash::calibration::OperatingCondition;
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{ErrorModel, PageId, PageReadProfile};
+use rr_flash::timing::SensePhases;
 use rr_util::time::SimTime;
 use std::sync::Arc;
+
+/// The error model's identity of the physical page at `loc`.
+fn page_id(loc: PpnLocation) -> PageId {
+    PageId::new(loc.block_global, loc.page_in_block)
+}
 
 #[derive(Debug)]
 struct TxnState {
@@ -44,6 +50,15 @@ struct TxnState {
     lpn: u64,
     loc: PpnLocation,
     ctx: Option<ReadContext>,
+    /// The read's ground truth (required step, final errors), derived once
+    /// at spawn: every simulated block behaves the same on every read
+    /// (§7.1), so it is fixed for the whole retry operation. `None` for
+    /// writes and erases and under `ideal_no_retry`. Kept out of
+    /// [`ReadContext`]: controllers never see it.
+    profile: Option<PageReadProfile>,
+    /// The timing penalty of `profile` under the last sense phases this read
+    /// was sensed with, as `(phases, penalty)`.
+    penalty: Option<(SensePhases, f64)>,
     /// `(step, raw errors)` pairs recorded at sense time. The buffer is
     /// recycled with its slot, so a warmed-up pool stops allocating.
     sensed: Vec<(u32, u32)>,
@@ -265,9 +280,7 @@ impl Ssd {
                 ftl
             }
         };
-        let mut model = ErrorModel::new(cfg.seed)
-            .with_outlier_rate(cfg.outlier_rate)
-            .with_profile_cache(cfg.hotpath.profile_cache);
+        let mut model = ErrorModel::new(cfg.seed).with_outlier_rate(cfg.outlier_rate);
         if let Some(img) = image {
             model.restore(img.model())?;
         }
@@ -699,16 +712,27 @@ impl Ssd {
             .translate(lpn)
             .expect("preconditioned footprint covers all trace LPNs");
         let loc = self.ftl.locate(ppn);
-        let (condition, cold) = self.condition_for(lpn);
         let txn = self.new_txn(TxnKind::HostRead, Some(req), lpn, loc, None, None);
-        let ctx = ReadContext {
+        self.start_read(txn);
+    }
+
+    /// Gives a freshly allocated read transaction its controller context
+    /// and (unless the run is ideal) its profile, then queues it on its die.
+    fn start_read(&mut self, txn: TxnId) {
+        let t = &self.txns[txn.0 as usize];
+        let (lpn, loc) = (t.lpn, t.loc);
+        let (condition, cold) = self.condition_for(lpn);
+        let profile =
+            (!self.cfg.ideal_no_retry).then(|| self.model.page_profile(page_id(loc), condition));
+        let t = &mut self.txns[txn.0 as usize];
+        t.ctx = Some(ReadContext {
             txn,
             die: loc.die_global,
             condition,
             cold,
             max_step: self.max_step,
-        };
-        self.txns[txn.0 as usize].ctx = Some(ctx);
+        });
+        t.profile = profile;
         self.enqueue_read(txn, loc.die_global);
     }
 
@@ -744,6 +768,8 @@ impl Ssd {
             lpn,
             loc,
             ctx: None,
+            profile: None,
+            penalty: None,
             sensed: Vec::new(),
             senses: 0,
             finished: false,
@@ -859,17 +885,8 @@ impl Ssd {
         }
         for (lpn, src) in job.moves {
             let loc = self.ftl.locate(src);
-            let (condition, cold) = self.condition_for(lpn);
             let txn = self.new_txn(TxnKind::GcRead, None, lpn, loc, Some((src, job_idx)), None);
-            let ctx = ReadContext {
-                txn,
-                die: loc.die_global,
-                condition,
-                cold,
-                max_step: self.max_step,
-            };
-            self.txns[txn.0 as usize].ctx = Some(ctx);
-            self.enqueue_read(txn, loc.die_global);
+            self.start_read(txn);
         }
     }
 
@@ -1097,21 +1114,30 @@ impl Ssd {
     fn start_queued_op(&mut self, die_idx: u32, txn: TxnId, op: QueuedOp) {
         match op {
             QueuedOp::Sense { step } => {
-                let loc = self.txns[txn.0 as usize].loc;
                 let phases = self.dies[die_idx as usize].phases;
-                let kind = self.cfg.chip.page_kind(loc.page_in_block);
-                let errors = if self.cfg.ideal_no_retry {
-                    0
-                } else {
-                    let ctx = self.txns[txn.0 as usize].ctx.expect("sense on a read");
-                    self.model.errors_at_step(
-                        PageId::new(loc.block_global, loc.page_in_block),
-                        ctx.condition,
-                        step,
-                        &phases,
-                    )
-                };
                 let t = &mut self.txns[txn.0 as usize];
+                let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
+                // No profile only under `ideal_no_retry`: every read passes.
+                let errors = t.profile.map_or(0, |profile| {
+                    let page = page_id(t.loc);
+                    let condition = t.ctx.expect("sense on a read").condition;
+                    let penalty = match t.penalty {
+                        Some((sensed_with, penalty)) if sensed_with == phases => penalty,
+                        _ => {
+                            let penalty = self.model.timing_penalty(page, condition, &phases);
+                            t.penalty = Some((phases, penalty));
+                            penalty
+                        }
+                    };
+                    let errors = self
+                        .model
+                        .errors_with_profile(page, &profile, step, penalty);
+                    debug_assert_eq!(
+                        errors,
+                        self.model.errors_at_step(page, condition, step, &phases)
+                    );
+                    errors
+                });
                 t.sensed.push((step, errors));
                 t.senses += 1;
                 self.metrics.senses += 1;

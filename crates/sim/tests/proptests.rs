@@ -17,6 +17,71 @@ fn small_cfg() -> SsdConfig {
     cfg
 }
 
+/// Drives an [`EventQueue`] and a naive reference — a `Vec` whose minimum by
+/// `(time, insertion sequence)` pops first — through `burst` same-tick
+/// pushes at time zero and then `ops`, asserting they agree after every
+/// step and while draining.
+///
+/// Each op is `(kind, delta, magnitude)`: kinds 0–5 push at
+/// `clock + delta · 1000^magnitude` ns (`clock` = last popped time, so
+/// nothing is scheduled into the past), 6–7 pop, 8 peeks, 9 resets.
+fn replay_against_reference(burst: usize, ops: &[(u8, u64, u32)]) -> Result<(), String> {
+    let mut queue = EventQueue::new();
+    // (time, sequence, payload); the sequence restarts at 0 on reset.
+    let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
+    let mut seq = 0u64;
+    let reference_pop = |reference: &mut Vec<(SimTime, u64, usize)>| {
+        let at = (0..reference.len()).min_by_key(|&j| (reference[j].0, reference[j].1))?;
+        let (t, _, payload) = reference.remove(at);
+        Some((t, payload))
+    };
+    for i in 0..burst {
+        queue.push(SimTime::ZERO, ops.len() + i);
+        reference.push((SimTime::ZERO, seq, ops.len() + i));
+        seq += 1;
+    }
+    let mut clock = SimTime::ZERO;
+    for (i, &(op, delta, magnitude)) in ops.iter().enumerate() {
+        match op {
+            // Push-heavy mix; `delta = 0` re-lands on the current tick and
+            // the magnitude ladder spans ns to tens of seconds.
+            0..=5 => {
+                let t = clock + SimTime::from_ns(delta * 1_000u64.pow(magnitude));
+                queue.push(t, i);
+                reference.push((t, seq, i));
+                seq += 1;
+            }
+            6 | 7 => {
+                let (a, b) = (queue.pop(), reference_pop(&mut reference));
+                prop_assert_eq!(a, b, "pop diverged at op {}", i);
+                if let Some((t, _)) = a {
+                    clock = t;
+                }
+            }
+            8 => {
+                let min = reference.iter().map(|e| e.0).min();
+                prop_assert_eq!(queue.peek_time(), min, "peek diverged at op {}", i);
+            }
+            _ => {
+                queue.reset();
+                reference.clear();
+                seq = 0;
+                clock = SimTime::ZERO;
+            }
+        }
+        prop_assert_eq!(queue.len(), reference.len(), "len diverged at op {}", i);
+        prop_assert_eq!(queue.is_empty(), reference.is_empty());
+    }
+    // Drain whatever is left in lock-step.
+    loop {
+        let (a, b) = (queue.pop(), reference_pop(&mut reference));
+        prop_assert_eq!(a, b, "drain diverged");
+        if a.is_none() {
+            return Ok(());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -86,66 +151,25 @@ proptest! {
         }
     }
 
-    /// The heap queue is observationally identical to a naive reference —
-    /// a `Vec` whose minimum by `(time, insertion sequence)` pops first —
-    /// under any interleaving of `push`/`pop`/`peek_time`/`len`/`reset`:
-    /// same-tick FIFO bursts, spans from single nanoseconds to tens of
-    /// seconds, and post-`reset` reuse (the arena path).
+    /// The sorted-vector queue is observationally identical to a naive
+    /// reference under any interleaving of `push`/`pop`/`peek_time`/`len`/
+    /// `reset`: same-tick FIFO bursts, spans from single nanoseconds to tens
+    /// of seconds, and post-`reset` reuse (the arena path).
     #[test]
-    fn heap_matches_sorted_vec_reference_on_any_interleaving(
+    fn sorted_queue_matches_min_scan_reference_on_any_interleaving(
         ops in prop::collection::vec((0u8..10, 0u64..50, 0u32..4), 1..400)
     ) {
-        let mut heap = EventQueue::new();
-        // (time, sequence, payload); the sequence restarts at 0 on reset.
-        let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
-        let mut seq = 0u64;
-        let reference_pop = |reference: &mut Vec<(SimTime, u64, usize)>| {
-            let at = (0..reference.len()).min_by_key(|&j| (reference[j].0, reference[j].1))?;
-            let (t, _, payload) = reference.remove(at);
-            Some((t, payload))
-        };
-        // Last popped time: pushes land at `clock + delta` so neither queue
-        // ever schedules into the past.
-        let mut clock = SimTime::ZERO;
-        for (i, &(op, delta, magnitude)) in ops.iter().enumerate() {
-            match op {
-                // Push-heavy mix; `delta = 0` re-lands on the current tick
-                // and the magnitude ladder spans ns to tens of seconds.
-                0..=5 => {
-                    let t = clock + SimTime::from_ns(delta * 1_000u64.pow(magnitude));
-                    heap.push(t, i);
-                    reference.push((t, seq, i));
-                    seq += 1;
-                }
-                6 | 7 => {
-                    let (a, b) = (heap.pop(), reference_pop(&mut reference));
-                    prop_assert_eq!(a, b, "pop diverged at op {}", i);
-                    if let Some((t, _)) = a {
-                        clock = t;
-                    }
-                }
-                8 => {
-                    let min = reference.iter().map(|e| e.0).min();
-                    prop_assert_eq!(heap.peek_time(), min, "peek diverged at op {}", i);
-                }
-                _ => {
-                    heap.reset();
-                    reference.clear();
-                    seq = 0;
-                    clock = SimTime::ZERO;
-                }
-            }
-            prop_assert_eq!(heap.len(), reference.len(), "len diverged at op {}", i);
-            prop_assert_eq!(heap.is_empty(), reference.is_empty());
-        }
-        // Drain whatever is left in lock-step.
-        loop {
-            let (a, b) = (heap.pop(), reference_pop(&mut reference));
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
+        replay_against_reference(0, &ops)?;
+    }
+
+    /// The closed-loop QD-256 start: 256 events land on the same tick
+    /// before anything pops, then pops and pushes interleave (no reset, so
+    /// the burst drains through the mix).
+    #[test]
+    fn same_tick_burst_of_256_then_any_interleaving_matches_the_reference(
+        ops in prop::collection::vec((0u8..9, 0u64..50, 0u32..4), 1..600)
+    ) {
+        replay_against_reference(256, &ops)?;
     }
 
     /// `Redundancy::route_set` is a pure deterministic function with the

@@ -16,8 +16,6 @@
 //! * [`interp`] — clamped bilinear interpolation over anchor grids; the flash
 //!   error-model calibration (DESIGN.md §5) is expressed as anchor grids over
 //!   (P/E cycles × retention months).
-//! * [`cache`] — a deterministic open-addressed memo table for pure-function
-//!   results (the flash error model's per-page profile cache sits on it).
 //! * [`codec`] — a versioned, checksummed binary writer/reader for on-disk
 //!   artifacts (device images); the workspace has no real serde, so framing
 //!   and corruption rejection are explicit here.
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod codec;
 pub mod dist;
 pub mod interp;

@@ -1,6 +1,6 @@
 //! Hot-path equivalence suite: every performance switch must be
-//! **semantics-neutral**. The page-profile cache, the pooled transaction
-//! slab, and the cross-run arena may only change wall-clock — a run's
+//! **semantics-neutral**. The pooled transaction slab and the cross-run
+//! arena may only change wall-clock — a run's
 //! [`ssd_readretry::sim::metrics::SimReport`] must be bit-identical with any
 //! combination of them on or off, across workload families, replay modes,
 //! and queue depths.
@@ -46,14 +46,6 @@ fn assert_equivalent(reference: &SsdConfig, variant: &SsdConfig, what: &str) {
 }
 
 #[test]
-fn profile_cache_is_bit_neutral_across_msrc_ycsb_and_queue_depths() {
-    let cached = base_cfg();
-    let mut plain = base_cfg();
-    plain.hotpath.profile_cache = false;
-    assert_equivalent(&cached, &plain, "profile cache");
-}
-
-#[test]
 fn txn_slab_reuse_is_bit_neutral_across_msrc_ycsb_and_queue_depths() {
     let pooled = base_cfg();
     let mut fresh = base_cfg();
@@ -65,7 +57,6 @@ fn txn_slab_reuse_is_bit_neutral_across_msrc_ycsb_and_queue_depths() {
 fn all_hotpath_switches_off_matches_all_on() {
     let fast = base_cfg();
     let mut slow = base_cfg();
-    slow.hotpath.profile_cache = false;
     slow.hotpath.txn_slab_reuse = false;
     assert_equivalent(&fast, &slow, "hot-path switches");
 }
@@ -208,8 +199,7 @@ fn single_queue_rr_front_end_is_bit_identical_to_plain_replay() {
 
 #[test]
 fn hotpath_switches_are_bit_neutral_under_multi_queue_wrr() {
-    // The profile cache and transaction-slab pooling must stay
-    // semantics-neutral when requests arrive through the windowed WRR
+    // Transaction-slab pooling must stay semantics-neutral when requests arrive through the windowed WRR
     // front end (submission-queue waits, arbitration, per-queue metrics).
     let rpt = ReadTimingParamTable::default();
     let front = HostQueueConfig::uniform(2, Mode::closed_loop(8))
@@ -217,7 +207,6 @@ fn hotpath_switches_are_bit_neutral_under_multi_queue_wrr() {
         .with_weights(&[3, 1])
         .with_window(8);
     let mut slow = base_cfg();
-    slow.hotpath.profile_cache = false;
     slow.hotpath.txn_slab_reuse = false;
     for trace in workloads() {
         let run = |cfg: &SsdConfig| {
@@ -257,9 +246,8 @@ fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
 
 #[test]
 fn hotpath_switches_are_bit_neutral_under_every_gc_policy() {
-    // The hot-path contract extends to the GC-policy subsystem: profile
-    // caching and transaction pooling may not perturb a run under any
-    // policy, including on a GC-heavy workload where the policies actually
+    // The hot-path contract extends to the GC-policy subsystem:
+    // transaction pooling may not perturb a run under any policy, including on a GC-heavy workload where the policies actually
     // make decisions.
     let rpt = ReadTimingParamTable::default();
     let policies = [
@@ -275,7 +263,6 @@ fn hotpath_switches_are_bit_neutral_under_every_gc_policy() {
         let mut cfg = base_cfg().with_gc_policy(policy);
         cfg.chip.blocks_per_plane = 16;
         cfg.chip.pages_per_block = 12;
-        cfg.hotpath.profile_cache = hotpath_on;
         cfg.hotpath.txn_slab_reuse = hotpath_on;
         let footprint = cfg.max_lpns();
         // The shared GC-stress generator — the same trace `repro
