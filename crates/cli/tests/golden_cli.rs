@@ -121,6 +121,24 @@ fn characterization_figures_quick_match_golden() {
 }
 
 #[test]
+fn fig15_extensions_and_ablation_quick_match_golden() {
+    for (name, cmd) in [
+        ("fig15_quick.txt", "fig15"),
+        ("extensions_quick.txt", "extensions"),
+        ("ablation_quick.txt", "ablation"),
+    ] {
+        assert_golden(name, &[cmd, "--quick"], None);
+    }
+}
+
+#[test]
+fn tables_and_rpt_match_golden() {
+    for cmd in ["table1", "table2", "rpt"] {
+        assert_golden(&format!("{cmd}.txt"), &[cmd], None);
+    }
+}
+
+#[test]
 fn removed_engine_options_fail_with_one_line() {
     for args in [
         &["fig14", "--quick", "--shards", "1"][..],
