@@ -1457,7 +1457,7 @@ struct PerfKey {
 }
 
 /// One parsed `BENCH_history.jsonl` record: the comparability key plus the
-/// measured throughput.
+/// measured throughputs.
 struct PerfRecord {
     key: PerfKey,
     /// The removed event engine an old archive line measured — `"wheel"`
@@ -1466,6 +1466,8 @@ struct PerfRecord {
     /// either field are runs of it too.
     retired_engine: Option<String>,
     events_per_sec: f64,
+    /// Host requests/sec; `None` in archives that predate the field.
+    requests_per_sec: Option<f64>,
 }
 
 impl PerfRecord {
@@ -1517,6 +1519,8 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
                 },
                 retired_engine,
                 events_per_sec: json_f64_field(line, "events_per_sec").filter(|e| e.is_finite())?,
+                requests_per_sec: json_f64_field(line, "requests_per_sec")
+                    .filter(|r| r.is_finite()),
             })
         })();
         match record {
@@ -1580,70 +1584,40 @@ fn perf_fail_axis(opts: &Options) -> String {
 
 /// The ROADMAP's perf trajectory gate. The canonical spec lives in the
 /// README's "Perf regression gate" subsection; in code terms: this run's
-/// overall events/sec is compared against the median of the last
-/// [`PERF_GATE_TRAILING`] (10) *comparable* archived runs in
-/// [`PERF_HISTORY_FILE`], where comparable means the same `--quick`,
+/// overall events/sec, and separately its overall host requests/sec, are
+/// compared against the median of the last [`PERF_GATE_TRAILING`] (10)
+/// *comparable* archived runs in [`PERF_HISTORY_FILE`] that carry that
+/// metric, where comparable means the same `--quick`,
 /// `--jobs`, `--seed`, `--queue-depth`, `--rate`, `--devices`,
 /// `--placement`, `--redundancy`, and `--fail-device`/`--fail-at-us` values
 /// (N-device array runs never gate against single-device ones, and
 /// redundant or failure-injected runs never gate against plain ones — the
 /// routed workloads have different per-event costs). Archived runs of the
 /// removed timing-wheel and channel-sharded engines never gate. Returns
-/// `false` — failing `repro perf` and therefore CI — when throughput drops
-/// below [`PERF_GATE_RATIO`] (0.7×) of that median; skips gracefully while
-/// fewer than [`PERF_GATE_MIN_RUNS`] (3) comparable runs exist. Only runs
-/// that pass (or skip) the gate are archived — appending regressed runs
-/// would let repeated re-runs drag the median down until a real regression
-/// passes.
-fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
+/// `false` — failing `repro perf` and therefore CI — when either metric
+/// drops below [`PERF_GATE_RATIO`] (0.7×) of its median; each metric's gate
+/// skips gracefully while fewer than [`PERF_GATE_MIN_RUNS`] (3) comparable
+/// runs carry it. Only runs that pass (or skip) the gate are archived —
+/// appending regressed runs would let repeated re-runs drag the median down
+/// until a real regression passes.
+fn perf_gate(opts: &Options, events_per_sec: f64, requests_per_sec: f64) -> bool {
     let key = perf_key(opts);
     let history = std::fs::read_to_string(PERF_HISTORY_FILE).unwrap_or_default();
-    let prior: Vec<f64> = parse_perf_history(&history)
+    let prior: Vec<PerfRecord> = parse_perf_history(&history)
         .into_iter()
         .filter(|r| r.comparable_to(&key))
-        .map(|r| r.events_per_sec)
         .collect();
-
-    let recent = &prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..];
-    let ok = if recent.len() < PERF_GATE_MIN_RUNS {
-        println!(
-            "perf gate: {} comparable archived run(s) (< {PERF_GATE_MIN_RUNS}) — \
-             recorded {events_per_sec:.0} events/sec, gate skipped",
-            recent.len()
-        );
-        true
-    } else {
-        let mut sorted = recent.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite events/sec"));
-        let median = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
-        } else {
-            (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
-        };
-        let floor = PERF_GATE_RATIO * median;
-        if events_per_sec < floor {
-            eprintln!(
-                "perf gate: {events_per_sec:.0} events/sec is below {PERF_GATE_RATIO}× the \
-                 trailing median of {} runs ({median:.0} → floor {floor:.0}) — perf \
-                 regression (run not archived)",
-                recent.len()
-            );
-            false
-        } else {
-            println!(
-                "perf gate: {events_per_sec:.0} events/sec vs trailing median {median:.0} \
-                 over {} run(s) — ok (floor {floor:.0})",
-                recent.len()
-            );
-            true
-        }
-    };
+    let events: Vec<f64> = prior.iter().map(|r| r.events_per_sec).collect();
+    let requests: Vec<f64> = prior.iter().filter_map(|r| r.requests_per_sec).collect();
+    // Both gates report, even when the first one trips.
+    let events_ok = gate_metric("events/sec", events_per_sec, &events);
+    let ok = gate_metric("host req/s", requests_per_sec, &requests) && events_ok;
     if ok {
         let line = format!(
             "{{\"quick\": {}, \"jobs\": {}, \"seed\": {}, \"qd\": \"{}\", \
              \"rates\": \"{}\", \"devices\": {}, \"placement\": \"{}\", \
              \"redundancy\": \"{}\", \"fail\": \"{}\", \
-             \"events_per_sec\": {events_per_sec:.1}}}\n",
+             \"events_per_sec\": {events_per_sec:.1}, \"requests_per_sec\": {requests_per_sec:.1}}}\n",
             key.quick,
             opts.jobs,
             opts.seed,
@@ -1665,6 +1639,44 @@ fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
         }
     }
     ok
+}
+
+/// One metric's gate: `value` against [`PERF_GATE_RATIO`] of the median of
+/// the trailing [`PERF_GATE_TRAILING`] entries of `prior` (archive order),
+/// skipped while fewer than [`PERF_GATE_MIN_RUNS`] exist.
+fn gate_metric(metric: &str, value: f64, prior: &[f64]) -> bool {
+    let recent = &prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..];
+    if recent.len() < PERF_GATE_MIN_RUNS {
+        println!(
+            "perf gate: {} comparable archived run(s) with {metric} (< {PERF_GATE_MIN_RUNS}) — \
+             recorded {value:.0} {metric}, gate skipped",
+            recent.len()
+        );
+        return true;
+    }
+    let mut sorted = recent.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite archived throughput"));
+    let median = if sorted.len() % 2 == 1 {
+        sorted[sorted.len() / 2]
+    } else {
+        (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
+    };
+    let floor = PERF_GATE_RATIO * median;
+    if value < floor {
+        eprintln!(
+            "perf gate: {value:.0} {metric} is below {PERF_GATE_RATIO}× the trailing median \
+             of {} runs ({median:.0} → floor {floor:.0}) — perf regression (run not archived)",
+            recent.len()
+        );
+        false
+    } else {
+        println!(
+            "perf gate: {value:.0} {metric} vs trailing median {median:.0} over {} run(s) — \
+             ok (floor {floor:.0})",
+            recent.len()
+        );
+        true
+    }
 }
 
 /// One measured workload of `repro perf`.
@@ -1823,11 +1835,15 @@ pub fn perf(opts: &Options) -> bool {
         eprintln!("perf: a workload processed zero events — the simulator did no work");
     }
     let total_events: u64 = rows.iter().map(|r| r.events).sum();
-    let total_wall: f64 = rows.iter().map(|r| r.wall_s).sum();
-    let overall = total_events as f64 / total_wall.max(1e-9);
+    let total_requests: u64 = rows.iter().map(|r| r.requests).sum();
+    let total_wall = rows.iter().map(|r| r.wall_s).sum::<f64>().max(1e-9);
     // A zero-events run is broken, not slow: fail before the gate so the
-    // archive never absorbs its depressed events/sec as a baseline.
-    ok && perf_gate(opts, overall)
+    // archive never absorbs its depressed throughput as a baseline.
+    ok && perf_gate(
+        opts,
+        total_events as f64 / total_wall,
+        total_requests as f64 / total_wall,
+    )
 }
 
 /// One-line unicode sparkline over `values`, min-to-max scaled (a flat
@@ -2237,23 +2253,10 @@ pub fn snapshot(opts: &Options) -> bool {
 /// Parses a serve-protocol mechanism name (the figure names of
 /// [`Mechanism::name`], case-insensitive).
 fn parse_mechanism(s: &str) -> Option<Mechanism> {
-    SERVE_MECHANISMS
+    Mechanism::ALL
         .into_iter()
         .find(|m| m.name().eq_ignore_ascii_case(s))
 }
-
-/// Every mechanism `repro serve` accepts by name.
-const SERVE_MECHANISMS: [Mechanism; 9] = [
-    Mechanism::Baseline,
-    Mechanism::Pr2,
-    Mechanism::Ar2,
-    Mechanism::PnAr2,
-    Mechanism::NoRR,
-    Mechanism::Pso,
-    Mechanism::PsoPnAr2,
-    Mechanism::EagerPnAr2,
-    Mechanism::RegularAr2,
-];
 
 /// `repro serve`: loads (or preconditions) a device-image bank once, then
 /// answers replay queries line-by-line from stdin until EOF or `quit`.
@@ -2300,7 +2303,7 @@ pub fn serve(opts: &Options) -> bool {
         }
     }
     let names: Vec<&str> = traces.iter().map(|t| t.name.as_str()).collect();
-    let mechanisms: Vec<&str> = SERVE_MECHANISMS.iter().map(Mechanism::name).collect();
+    let mechanisms: Vec<&str> = Mechanism::ALL.iter().map(Mechanism::name).collect();
     eprintln!(
         "serve: image bank ready in {:.1} ms; protocol: '<workload> <mechanism> <qd> [devices]' \
          per line, 'quit' to exit",
@@ -2471,6 +2474,31 @@ mod tests {
         assert_eq!(r.retired_engine, None);
         assert_eq!(r.events_per_sec, 1000.0);
         assert!(r.comparable_to(&r.key.clone()));
+    }
+
+    #[test]
+    fn metric_gate_skips_below_three_runs_then_fails_below_the_ratio() {
+        assert!(gate_metric("host req/s", 1.0, &[100.0, 100.0]));
+        assert!(gate_metric("host req/s", 70.0, &[100.0; 3]));
+        assert!(!gate_metric("host req/s", 69.9, &[100.0; 3]));
+        // Only the trailing 10 runs count.
+        let prior: Vec<f64> = [1000.0; 5].into_iter().chain([100.0; 10]).collect();
+        assert!(gate_metric("events/sec", 71.0, &prior));
+    }
+
+    #[test]
+    fn records_without_requests_per_sec_skip_only_the_new_gate() {
+        let new = CURRENT.replace("1000.0}", "1000.0, \"requests_per_sec\": 300.5}");
+        let records = parse_perf_history(&format!("{CURRENT}\n{CURRENT}\n{CURRENT}\n{new}\n"));
+        let requests: Vec<f64> = records.iter().filter_map(|r| r.requests_per_sec).collect();
+        let events: Vec<f64> = records.iter().map(|r| r.events_per_sec).collect();
+        assert_eq!(
+            (records[0].requests_per_sec, &requests[..]),
+            (None, &[300.5][..])
+        );
+        // Four comparable events/sec runs gate; one req/s run does not yet.
+        assert!(!gate_metric("events/sec", 500.0, &events));
+        assert!(gate_metric("host req/s", 1.0, &requests));
     }
 
     #[test]

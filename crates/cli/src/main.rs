@@ -44,6 +44,17 @@ mod render;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    // `repro <cmd> | head` closes stdout early, and the next `println!` then
+    // panics on the broken pipe: exit quietly instead, with the status a
+    // shell reports for a `SIGPIPE` kill (128 + 13), as Unix tools do.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(141);
+        }
+        default_hook(info);
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = None;
     let mut quick = false;

@@ -10,7 +10,7 @@
 //! change, run the release `repro` with the arguments (and stdin) a test
 //! passes and redirect its stdout over that test's file.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -136,6 +136,29 @@ fn tables_and_rpt_match_golden() {
     for cmd in ["table1", "table2", "rpt"] {
         assert_golden(&format!("{cmd}.txt"), &[cmd], None);
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    // `repro fig5 --quick | head -1`: the reader leaves after the heading,
+    // while the figure is still being computed.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig5", "--quick"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut first = String::new();
+    while first.trim().is_empty() {
+        first.clear();
+        stdout.read_line(&mut first).expect("the heading arrives");
+    }
+    assert!(first.starts_with("## Fig. 5"), "{first:?}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

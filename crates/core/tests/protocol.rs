@@ -7,7 +7,8 @@
 //! * `Transfer { step }` only references steps that were sensed;
 //! * `SET FEATURE` installations are balanced by rollbacks at completion
 //!   (the die must never be left with stale reduced timing);
-//! * `Reset` is only issued while the mechanism has speculation in flight.
+//! * `Reset` is only issued while the mechanism has speculation in flight;
+//! * no callback returns more than [`Actions::CAPACITY`] actions.
 //!
 //! This complements the full event simulator: here the *ordering freedom* of
 //! the protocol is explored (decodes delivered with arbitrary lag behind
@@ -19,7 +20,7 @@ use rr_core::mechanisms::{Ar2Controller, PnAr2Controller, Pr2Controller};
 use rr_core::pso::PsoController;
 use rr_core::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
-use rr_sim::readflow::{BaselineController, ReadAction, ReadContext, RetryController};
+use rr_sim::readflow::{Actions, BaselineController, ReadAction, ReadContext, RetryController};
 use rr_sim::request::TxnId;
 use std::collections::VecDeque;
 
@@ -28,6 +29,13 @@ use std::collections::VecDeque;
 enum Outcome {
     Success { step: u32 },
     Failure,
+}
+
+/// Passes a callback's response through, checking it fits the bounded
+/// action list.
+fn bounded(actions: Actions) -> Actions {
+    assert!(actions.len() <= Actions::CAPACITY, "{actions:?}");
+    actions
 }
 
 /// A timing-free protocol driver with a configurable decode lag: decodes for
@@ -53,7 +61,7 @@ fn drive(
     let mut awaiting_feature = false;
     let mut outcome = None;
 
-    let mut actions: VecDeque<ReadAction> = controller.on_start(ctx).into_iter().collect();
+    let mut actions: VecDeque<ReadAction> = bounded(controller.on_start(ctx)).into_iter().collect();
     let mut guard = 0;
     while outcome.is_none() {
         guard += 1;
@@ -90,21 +98,21 @@ fn drive(
         // the die), then sensings, then (lagged) decodes.
         if awaiting_feature {
             awaiting_feature = false;
-            actions.extend(controller.on_feature_applied(ctx));
+            actions.extend(bounded(controller.on_feature_applied(ctx)));
         } else if !pending_senses.is_empty()
             && (pending_decodes.len() <= lag || pending_decodes.is_empty())
         {
             let step = pending_senses.pop_front().expect("non-empty");
             sensed.push(step);
-            actions.extend(controller.on_sense_done(ctx, step));
+            actions.extend(bounded(controller.on_sense_done(ctx, step)));
         } else if let Some(step) = pending_decodes.pop_front() {
             let ok = succeeds(step);
             let margin = if ok { 30 } else { 0 };
-            actions.extend(controller.on_decode_done(ctx, step, ok, margin));
+            actions.extend(bounded(controller.on_decode_done(ctx, step, ok, margin)));
         } else if !pending_senses.is_empty() {
             let step = pending_senses.pop_front().expect("non-empty");
             sensed.push(step);
-            actions.extend(controller.on_sense_done(ctx, step));
+            actions.extend(bounded(controller.on_sense_done(ctx, step)));
         } else {
             panic!("protocol stalled: no actions, no events, no completion");
         }
@@ -201,4 +209,34 @@ proptest! {
             c.on_end(&ctx, None);
         }
     }
+}
+
+/// PSO's one-shot fallback replaces the inner mechanism's `CompleteFailure`
+/// with its restart: the response stays within the bounded action list, and
+/// the fallback walk still finds the page.
+#[test]
+fn pso_fallback_restart_stays_within_capacity() {
+    fn fall_back<C: RetryController>(new: impl Fn() -> PsoController<C>) {
+        for lag in 0..4 {
+            let mut c = new();
+            // Teach the predictor a deep optimum on die 0...
+            let teach = ctx_for(1, 2000.0, 12.0, 40);
+            assert_eq!(
+                drive(&mut c, &teach, 39, 0, lag),
+                Outcome::Success { step: 39 }
+            );
+            c.on_end(&teach, Some(39));
+            assert_eq!(c.predictor().predict(0, true), 36);
+            // ...so the next read starts past its shallow optimum and only
+            // the full-walk fallback can reach it.
+            let read = ctx_for(2, 2000.0, 12.0, 40);
+            assert_eq!(
+                drive(&mut c, &read, 2, 0, lag),
+                Outcome::Success { step: 2 }
+            );
+            c.on_end(&read, Some(2));
+        }
+    }
+    fall_back(|| PsoController::new(BaselineController::new()));
+    fall_back(|| PsoController::new(PnAr2Controller::new(ReadTimingParamTable::default())));
 }

@@ -243,8 +243,7 @@ impl ErrorModel {
         let zp = self.stationary_z(page.page_key(), 0x9a9e);
         let z = (BLOCK_NOISE_WEIGHT * zb + PAGE_NOISE_WEIGHT * zp).clamp(-2.0, 2.0);
         let sigma = 0.5 + 0.08 * mean;
-        let steps = (mean + z * sigma).round();
-        (steps.max(0.0) as u32).min(MAX_RETRY_STEPS)
+        round_u32(mean + z * sigma).min(MAX_RETRY_STEPS)
     }
 
     /// Whether this page is an injected outlier.
@@ -261,7 +260,7 @@ impl ErrorModel {
         // Per-page spread: [0.5·M_ERR, M_ERR], right-skewed so the max is
         // actually attained by some pages (charact sweeps recover M_ERR).
         let e = m_err * (0.5 + 0.5 * u * u.sqrt());
-        let mut errors = e.round() as u32;
+        let mut errors = round_u32(e);
         if self.is_outlier(page) {
             errors += OUTLIER_EXTRA_ERRORS;
         }
@@ -347,28 +346,28 @@ impl ErrorModel {
         step: u32,
         penalty: f64,
     ) -> u32 {
-        let required = profile.required_step;
-        let final_errors = profile.final_errors as f64;
+        let jitter = || 0.9 + 0.2 * self.stationary_u(page.page_key(), 0x57e9 ^ step as u64);
+        round_u32(base_errors(profile, step, jitter) + penalty)
+    }
 
-        let base = if step >= required && step <= required + OVERSHOOT_TOLERANCE {
-            final_errors
-        } else {
-            // Distance from the near-optimal plateau, in retry-table entries.
-            let d = if step < required {
-                (required - step) as f64
-            } else {
-                (step - required - OVERSHOOT_TOLERANCE) as f64
-            };
-            // Fig. 4b: errors collapse from ~500+/KiB three steps out to below
-            // the 72-bit capability at the final step. Quadratic growth with a
-            // floor just above the capability so steps short of `required`
-            // always fail.
-            let above_capability = (ECC_CAPABILITY_PER_KIB as f64 + 1.0).max(final_errors);
-            let jitter = 0.9 + 0.2 * self.stationary_u(page.page_key(), 0x57e9 ^ step as u64);
-            above_capability + (40.0 * d + 45.0 * d * d) * jitter
-        };
-
-        (base + penalty).round() as u32
+    /// [`Self::errors_with_profile`] when it is at most `capability`, else
+    /// `None` — all an ECC decoder of that capability needs to know. The
+    /// smallest jitter (0.9) first bounds the count below without the
+    /// per-step hash: every operation of the formula is monotone in the
+    /// jitter, so a bound above `capability` proves the count is too.
+    pub fn errors_within(
+        &self,
+        page: PageId,
+        profile: &PageReadProfile,
+        step: u32,
+        penalty: f64,
+        capability: u32,
+    ) -> Option<u32> {
+        if round_u32(base_errors(profile, step, || 0.9) + penalty) > capability {
+            return None;
+        }
+        let errors = self.errors_with_profile(page, profile, step, penalty);
+        (errors <= capability).then_some(errors)
     }
 
     /// Convenience: does a read of `page` at `step` with `phases` succeed
@@ -382,6 +381,40 @@ impl ErrorModel {
     ) -> bool {
         self.errors_at_step(page, cond, step, phases) <= ECC_CAPABILITY_PER_KIB
     }
+}
+
+/// `x.round() as u32` without the libm call: `x - trunc(x)` is exact for
+/// every `f64`, and the saturating casts reproduce the `as u32` edge cases
+/// (NaN and negatives give 0, values from `u32::MAX` up give `u32::MAX`).
+#[inline]
+pub fn round_u32(x: f64) -> u32 {
+    let t = x as u32;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// Raw bit errors at `step` before the timing penalty; `jitter` (in
+/// `[0.9, 1.1)`) is drawn only off the near-optimal plateau.
+fn base_errors(profile: &PageReadProfile, step: u32, jitter: impl FnOnce() -> f64) -> f64 {
+    let required = profile.required_step;
+    let final_errors = profile.final_errors as f64;
+    if step >= required && step <= required + OVERSHOOT_TOLERANCE {
+        return final_errors;
+    }
+    // Distance from the near-optimal plateau, in retry-table entries.
+    let d = if step < required {
+        (required - step) as f64
+    } else {
+        (step - required - OVERSHOOT_TOLERANCE) as f64
+    };
+    // Fig. 4b: errors collapse from ~500+/KiB three steps out to below the
+    // 72-bit capability at the final step. Quadratic growth with a floor just
+    // above the capability so steps short of `required` always fail.
+    let above_capability = (ECC_CAPABILITY_PER_KIB as f64 + 1.0).max(final_errors);
+    above_capability + (40.0 * d + 45.0 * d * d) * jitter()
 }
 
 #[cfg(test)]

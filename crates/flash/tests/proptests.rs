@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rr_flash::calibration::{Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB};
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{round_u32, ErrorModel, PageId};
 use rr_flash::geometry::{ChipGeometry, PageAddr};
 use rr_flash::onfi;
 use rr_flash::timing::SensePhases;
@@ -152,5 +152,84 @@ proptest! {
         let cond = OperatingCondition::new(pec, months, temp);
         let e = model.final_step_errors(PageId::new(block, page), cond);
         prop_assert!(e <= ECC_CAPABILITY_PER_KIB);
+    }
+
+    #[test]
+    fn round_u32_matches_libm_round_on_any_bit_pattern(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_u32(x), x.round() as u32, "x = {:e}", x);
+    }
+
+    #[test]
+    fn round_u32_matches_libm_round_across_the_u32_range(x in -10.0f64..4.3e9) {
+        prop_assert_eq!(round_u32(x), x.round() as u32, "x = {}", x);
+    }
+
+    #[test]
+    fn errors_within_is_errors_with_profile_up_to_the_capability(
+        block in any::<u64>(),
+        page in 0u32..1152,
+        step in 0u32..45,
+        pec in prop::sample::select(vec![0.0, 1000.0, 2000.0]),
+        months in prop::sample::select(vec![0.0, 3.0, 6.0, 12.0]),
+        pre in prop::sample::select(vec![0.0, 0.3, 0.4, 0.54, 0.58]),
+        outlier_rate in prop::sample::select(vec![0.0, 0.5, 1.0]),
+    ) {
+        let model = ErrorModel::new(0x0E77).with_outlier_rate(outlier_rate);
+        let cond = OperatingCondition::new(pec, months, 30.0);
+        let id = PageId::new(block, page);
+        let profile = model.page_profile(id, cond);
+        let phases = SensePhases::table1().with_reduction(pre, 0.0, 0.0);
+        let penalty = model.timing_penalty(id, cond, &phases);
+        let exact = model.errors_with_profile(id, &profile, step, penalty);
+        // The fixed capabilities, plus the tightest ones around the count.
+        for capability in [0, 40, 72, 150, 1000, exact.saturating_sub(1), exact] {
+            prop_assert_eq!(
+                model.errors_within(id, &profile, step, penalty, capability),
+                (exact <= capability).then_some(exact),
+                "step {} of required {}, capability {}",
+                step,
+                profile.required_step,
+                capability
+            );
+        }
+    }
+}
+
+/// The edge cases of `round_u32`: signed zeros, halves (which round away
+/// from zero), the largest double below one half, negatives, the `u32`
+/// boundary, and the non-finite values.
+#[test]
+fn round_u32_matches_libm_round_on_edge_cases() {
+    let edges = [
+        0.0,
+        -0.0,
+        0.5,
+        1.5,
+        2.5,
+        -0.5,
+        -1.5,
+        0.49999999999999994,
+        -0.49999999999999994,
+        72.5,
+        -3.7,
+        4294967294.5,
+        4294967295.0,
+        4294967295.49,
+        4294967295.5,
+        4294967296.0,
+        1e300,
+        -1e300,
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    for x in edges {
+        assert_eq!(round_u32(x), x.round() as u32, "x = {x:e}");
     }
 }

@@ -52,17 +52,15 @@ pub enum ReadAction {
     CompleteFailure,
 }
 
-/// A short list of [`ReadAction`]s, inline up to four entries.
+/// A short list of [`ReadAction`]s, stored inline: a plain `Copy` value.
 ///
-/// Controllers emit one or two actions per flash event on the hot path;
-/// boxing each response in a fresh `Vec` was one of the simulator's dominant
-/// allocation sources. The first [`Actions::INLINE`] actions live in the
-/// value itself; longer responses (rare) spill to the heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Controllers emit at most [`Actions::CAPACITY`] actions per flash event —
+/// the longest response is PnAR²'s `Reset`, `CompleteSuccess`, `SetFeature`
+/// on a successful decode with speculation in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Actions {
-    inline: [ReadAction; Self::INLINE],
+    slots: [ReadAction; Self::CAPACITY],
     len: u8,
-    spill: Vec<ReadAction>,
 }
 
 impl Default for Actions {
@@ -72,19 +70,18 @@ impl Default for Actions {
 }
 
 impl Actions {
-    /// Number of actions stored without heap allocation.
-    pub const INLINE: usize = 4;
+    /// Most actions one response may hold.
+    pub const CAPACITY: usize = 3;
 
-    /// The placeholder filling unused inline slots (never observed by
-    /// iteration, which is bounded by the length).
+    /// The placeholder filling unused slots (never observed by iteration,
+    /// which is bounded by the length).
     const FILL: ReadAction = ReadAction::CompleteFailure;
 
     /// An empty action list.
     pub const fn new() -> Self {
         Self {
-            inline: [Self::FILL; Self::INLINE],
+            slots: [Self::FILL; Self::CAPACITY],
             len: 0,
-            spill: Vec::new(),
         }
     }
 
@@ -104,67 +101,43 @@ impl Actions {
     }
 
     /// Appends an action.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`Actions::CAPACITY`] actions — a
+    /// controller that emits more per event breaks the interface contract.
     pub fn push(&mut self, a: ReadAction) {
-        if (self.len as usize) < Self::INLINE {
-            self.inline[self.len as usize] = a;
-            self.len += 1;
-        } else {
-            self.spill.push(a);
-        }
+        assert!(
+            (self.len as usize) < Self::CAPACITY,
+            "a controller response holds at most {} actions",
+            Self::CAPACITY
+        );
+        self.slots[self.len as usize] = a;
+        self.len += 1;
     }
 
     /// Number of actions.
     pub fn len(&self) -> usize {
-        self.len as usize + self.spill.len()
+        self.len as usize
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates the actions in push order.
-    pub fn iter(&self) -> impl Iterator<Item = ReadAction> + '_ {
-        self.inline[..self.len as usize]
-            .iter()
-            .chain(self.spill.iter())
-            .copied()
+        self.len == 0
     }
 
     /// Collects into a `Vec` (test/diagnostic convenience).
     pub fn to_vec(&self) -> Vec<ReadAction> {
-        self.iter().collect()
-    }
-}
-
-impl From<ReadAction> for Actions {
-    fn from(a: ReadAction) -> Self {
-        Actions::one(a)
+        self.into_iter().collect()
     }
 }
 
 impl IntoIterator for Actions {
     type Item = ReadAction;
-    type IntoIter = std::iter::Chain<
-        std::iter::Take<std::array::IntoIter<ReadAction, { Actions::INLINE }>>,
-        std::vec::IntoIter<ReadAction>,
-    >;
+    type IntoIter = std::iter::Take<std::array::IntoIter<ReadAction, { Actions::CAPACITY }>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.inline
-            .into_iter()
-            .take(self.len as usize)
-            .chain(self.spill)
-    }
-}
-
-impl FromIterator<ReadAction> for Actions {
-    fn from_iter<I: IntoIterator<Item = ReadAction>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for a in iter {
-            s.push(a);
-        }
-        s
+        self.slots.into_iter().take(self.len as usize)
     }
 }
 
@@ -214,11 +187,6 @@ impl<T> TxnTable<T> {
     /// Removes and returns the state for `id`.
     pub fn remove(&mut self, id: TxnId) -> Option<T> {
         self.slots.get_mut(id.0 as usize).and_then(Option::take)
-    }
-
-    /// Whether state exists for `id`.
-    pub fn contains(&self, id: TxnId) -> bool {
-        self.get(id).is_some()
     }
 }
 
@@ -281,26 +249,60 @@ pub trait RetryController {
     fn name(&self) -> &str;
 }
 
+/// A boxed controller is a controller: `Ssd<Box<dyn RetryController>>` (the
+/// engine's default) dispatches dynamically, `Ssd<C>` over a concrete `C`
+/// statically, through the same engine code.
+impl<T: RetryController + ?Sized> RetryController for Box<T> {
+    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+        (**self).on_start(ctx)
+    }
+
+    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
+        (**self).on_sense_done(ctx, step)
+    }
+
+    fn on_decode_done(
+        &mut self,
+        ctx: &ReadContext,
+        step: u32,
+        success: bool,
+        margin: u32,
+    ) -> Actions {
+        (**self).on_decode_done(ctx, step, success, margin)
+    }
+
+    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
+        (**self).on_feature_applied(ctx)
+    }
+
+    fn on_reset_done(&mut self, ctx: &ReadContext) -> Actions {
+        (**self).on_reset_done(ctx)
+    }
+
+    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
+        (**self).on_end(ctx, successful_step)
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+}
+
 /// The regular read-retry mechanism (Fig. 12(a)): strictly sequential
 /// sense → transfer → decode → (on failure) next retry step, with default
 /// timing parameters throughout.
 #[derive(Debug, Default)]
-pub struct BaselineController {
-    /// Nothing to remember per read beyond what events carry, but we track
-    /// in-flight txns for debug assertions.
-    live: TxnTable<()>,
-}
+pub struct BaselineController;
 
 impl BaselineController {
     /// Creates the baseline controller.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl RetryController for BaselineController {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        self.live.insert(ctx.txn, ());
+    fn on_start(&mut self, _ctx: &ReadContext) -> Actions {
         Actions::one(ReadAction::Sense { step: 0 })
     }
 
@@ -332,9 +334,7 @@ impl RetryController for BaselineController {
         unreachable!("baseline never issues RESET")
     }
 
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.live.remove(ctx.txn);
-    }
+    fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}
 
     fn name(&self) -> &str {
         "Baseline"
@@ -393,35 +393,45 @@ mod tests {
     }
 
     #[test]
-    fn actions_inline_then_spill() {
+    fn actions_hold_up_to_capacity_in_push_order() {
         let mut a = Actions::new();
         assert!(a.is_empty());
-        for step in 0..6 {
+        for step in 0..Actions::CAPACITY as u32 {
             a.push(ReadAction::Sense { step });
         }
-        assert_eq!(a.len(), 6);
-        let collected = a.to_vec();
+        assert_eq!(a.len(), Actions::CAPACITY);
+        let copy = a;
         assert_eq!(
-            collected,
-            (0..6)
+            copy.to_vec(),
+            (0..Actions::CAPACITY as u32)
                 .map(|step| ReadAction::Sense { step })
                 .collect::<Vec<_>>()
         );
+        assert_eq!(a.into_iter().collect::<Vec<_>>(), copy.to_vec());
         let pair = Actions::pair(ReadAction::Reset, ReadAction::CompleteFailure);
         assert_eq!(
             pair.to_vec(),
             vec![ReadAction::Reset, ReadAction::CompleteFailure]
         );
-        let one: Actions = ReadAction::Reset.into();
-        assert_eq!(one.to_vec(), vec![ReadAction::Reset]);
-        let from_iter: Actions = (0..2).map(|step| ReadAction::Sense { step }).collect();
-        assert_eq!(from_iter.len(), 2);
+        assert_eq!(
+            Actions::one(ReadAction::Reset).to_vec(),
+            vec![ReadAction::Reset]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 actions")]
+    fn actions_push_past_capacity_panics() {
+        let mut a = Actions::new();
+        for step in 0..=Actions::CAPACITY as u32 {
+            a.push(ReadAction::Sense { step });
+        }
     }
 
     #[test]
     fn txn_table_insert_get_remove() {
         let mut t: TxnTable<u32> = TxnTable::new();
-        assert!(!t.contains(TxnId(3)));
+        assert_eq!(t.get(TxnId(3)), None);
         assert_eq!(t.insert(TxnId(3), 30), None);
         assert_eq!(t.insert(TxnId(0), 1), None);
         assert_eq!(t.get(TxnId(3)), Some(&30));

@@ -129,15 +129,13 @@ impl Arbiter {
 
 const NIL: u32 = u32::MAX;
 
-/// An index-linked FIFO queue over a slab of reusable nodes.
-///
-/// The per-die command queues need three operations on the hot path:
-/// `push_back`, `pop_front`, and *removal from the middle* (GC commands
-/// jumping ahead of host programs, RESET cancelling a read's queued
-/// speculation). A `VecDeque` pays O(n) element shifting for the middle
-/// removal; here every unlink is O(1) pointer surgery, and freed nodes are
-/// recycled through an internal free list so a warmed-up queue never
-/// allocates again.
+/// An index-linked FIFO queue over a slab of reusable nodes: the die's P2
+/// queue, the one queue that needs *removal from the middle* (GC commands
+/// jumping ahead of host programs, host programs passing GC under
+/// [`crate::gc::GcPolicy::QueueShield`]). A `VecDeque` pays O(n) element
+/// shifting for that; here every unlink is O(1) pointer surgery, and freed
+/// nodes are recycled through an internal free list so a warmed-up queue
+/// never allocates again.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkedQueue<T> {
     nodes: Vec<Node<T>>,
@@ -234,15 +232,6 @@ impl<T> LinkedQueue<T> {
         (self.head != NIL).then(|| self.unlink(self.head))
     }
 
-    pub(crate) fn front(&self) -> Option<&T> {
-        (self.head != NIL).then(|| {
-            self.nodes[self.head as usize]
-                .item
-                .as_ref()
-                .expect("linked node holds an item")
-        })
-    }
-
     /// Unlinks and returns the first item matching `pred` — the O(1)-unlink
     /// replacement for `VecDeque::remove(position(..))`.
     pub(crate) fn pop_first_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
@@ -260,32 +249,6 @@ impl<T> LinkedQueue<T> {
     /// Drops every queued item, keeping the slab for reuse.
     pub(crate) fn clear(&mut self) {
         while self.pop_front().is_some() {}
-    }
-
-    /// Iterates the queued items front to back.
-    pub(crate) fn iter(&self) -> LinkedQueueIter<'_, T> {
-        LinkedQueueIter {
-            queue: self,
-            idx: self.head,
-        }
-    }
-}
-
-pub(crate) struct LinkedQueueIter<'a, T> {
-    queue: &'a LinkedQueue<T>,
-    idx: u32,
-}
-
-impl<'a, T> Iterator for LinkedQueueIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        if self.idx == NIL {
-            return None;
-        }
-        let node = &self.queue.nodes[self.idx as usize];
-        self.idx = node.next;
-        Some(node.item.as_ref().expect("linked node holds an item"))
     }
 }
 
@@ -347,8 +310,8 @@ pub(crate) struct DieState {
     /// exclusive ownership is also what keeps one read's `SET FEATURE` from
     /// contaminating another read's sensing on the same die.
     pub(crate) owner: Option<TxnId>,
-    pub(crate) p0: LinkedQueue<(TxnId, QueuedOp)>,
-    pub(crate) p1: LinkedQueue<TxnId>,
+    pub(crate) p0: VecDeque<(TxnId, QueuedOp)>,
+    pub(crate) p1: VecDeque<TxnId>,
     pub(crate) p2: LinkedQueue<TxnId>,
     pub(crate) suspended: Option<(DieJob, SimTime)>,
     pub(crate) phases: SensePhases,
@@ -361,8 +324,8 @@ impl DieState {
             gen: 0,
             job: None,
             owner: None,
-            p0: LinkedQueue::new(),
-            p1: LinkedQueue::new(),
+            p0: VecDeque::new(),
+            p1: VecDeque::new(),
             p2: LinkedQueue::new(),
             suspended: None,
             phases,
@@ -442,6 +405,8 @@ pub(crate) struct Transfer {
     pub(crate) txn: TxnId,
     /// `Some(step)` = read data in; `None` = write data out.
     pub(crate) step: Option<u32>,
+    /// Raw bit errors of the sensed data; `u32::MAX` when beyond the ECC
+    /// capability.
     pub(crate) errors: u32,
 }
 
@@ -614,6 +579,10 @@ mod tests {
             .is_none());
     }
 
+    fn drain(q: &mut LinkedQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop_front()).collect()
+    }
+
     #[test]
     fn linked_queue_is_fifo() {
         let mut q: LinkedQueue<u32> = LinkedQueue::new();
@@ -623,11 +592,7 @@ mod tests {
             q.push_back(i);
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.front(), Some(&0));
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        for i in 0..5 {
-            assert_eq!(q.pop_front(), Some(i));
-        }
+        assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
     }
 
@@ -642,11 +607,11 @@ mod tests {
         assert_eq!(q.pop_first_where(|&x| x == 0), Some(0));
         assert_eq!(q.pop_first_where(|&x| x == 5), Some(5));
         assert_eq!(q.pop_first_where(|&x| x == 99), None);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2, 4]);
+        assert_eq!(q.len(), 3);
         // Freed nodes are recycled; pushes go to the back as usual.
         q.push_back(7);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2, 4, 7]);
         assert_eq!(q.nodes.len(), 6, "slab did not grow past its peak");
+        assert_eq!(drain(&mut q), vec![1, 2, 4, 7]);
     }
 
     #[test]
@@ -657,7 +622,7 @@ mod tests {
         }
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.front(), None);
+        assert_eq!(q.pop_front(), None);
         for i in 10..14 {
             q.push_back(i);
         }

@@ -110,7 +110,9 @@ struct GcJobState {
     preemptions_left: u32,
 }
 
-/// The simulated SSD.
+/// The simulated SSD, generic over its retry controller: a concrete `C`
+/// dispatches every controller callback statically; the default boxed
+/// controller dispatches dynamically through the same engine code.
 ///
 /// # Example
 ///
@@ -128,11 +130,11 @@ struct GcJobState {
 /// let report = ssd.run(&trace);
 /// assert_eq!(report.requests_completed, 1);
 /// ```
-pub struct Ssd {
+pub struct Ssd<C: RetryController = Box<dyn RetryController>> {
     cfg: Arc<SsdConfig>,
     ftl: Ftl,
     model: ErrorModel,
-    controller: Box<dyn RetryController>,
+    controller: C,
     events: EventQueue<Event>,
     now: SimTime,
     dies: Vec<DieState>,
@@ -212,7 +214,7 @@ impl SimArena {
     }
 }
 
-impl Ssd {
+impl<C: RetryController> Ssd<C> {
     /// Builds a preconditioned SSD: `lpn_count` logical pages are mapped and
     /// carry the configured retention age (cold data).
     ///
@@ -225,7 +227,7 @@ impl Ssd {
     /// Propagates configuration/footprint validation errors.
     pub fn new(
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
     ) -> Result<Self, String> {
         Self::assemble(&mut SimArena::new(), cfg.into(), controller, lpn_count)
@@ -236,7 +238,7 @@ impl Ssd {
     fn assemble(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
     ) -> Result<Self, String> {
         Self::assemble_from(arena, cfg, controller, lpn_count, None)
@@ -251,7 +253,7 @@ impl Ssd {
     fn assemble_from(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
         image: Option<&DeviceImage>,
     ) -> Result<Self, String> {
@@ -375,7 +377,7 @@ impl Ssd {
     pub fn run_pooled(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
         trace: &[HostRequest],
         mode: ReplayMode,
@@ -404,7 +406,7 @@ impl Ssd {
     pub fn run_pooled_queued(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
@@ -430,7 +432,7 @@ impl Ssd {
     pub fn run_pooled_queued_from(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
@@ -451,7 +453,7 @@ impl Ssd {
     pub(crate) fn run_pooled_queued_collected_from(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
+        controller: C,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
@@ -1040,13 +1042,12 @@ impl Ssd {
                 return;
             }
             // P0: continuations of the owning read's retry operation.
-            if let Some(&(txn, op)) = self.dies[die_idx as usize].p0.front() {
+            if let Some((txn, op)) = self.dies[die_idx as usize].p0.pop_front() {
                 debug_assert_eq!(
                     self.dies[die_idx as usize].owner,
                     Some(txn),
                     "P0 ops always belong to the die owner"
                 );
-                self.dies[die_idx as usize].p0.pop_front();
                 self.start_queued_op(die_idx, txn, op);
                 return;
             }
@@ -1118,6 +1119,9 @@ impl Ssd {
                 let t = &mut self.txns[txn.0 as usize];
                 let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
                 // No profile only under `ideal_no_retry`: every read passes.
+                // A count beyond the ECC capability is recorded as `u32::MAX`:
+                // decode fails with margin 0 either way.
+                let capability = self.cfg.ecc.capability;
                 let errors = t.profile.map_or(0, |profile| {
                     let page = page_id(t.loc);
                     let condition = t.ctx.expect("sense on a read").condition;
@@ -1131,12 +1135,12 @@ impl Ssd {
                     };
                     let errors = self
                         .model
-                        .errors_with_profile(page, &profile, step, penalty);
-                    debug_assert_eq!(
-                        errors,
-                        self.model.errors_at_step(page, condition, step, &phases)
-                    );
-                    errors
+                        .errors_within(page, &profile, step, penalty, capability);
+                    debug_assert_eq!(errors, {
+                        let exact = self.model.errors_at_step(page, condition, step, &phases);
+                        (exact <= capability).then_some(exact)
+                    });
+                    errors.unwrap_or(u32::MAX)
                 });
                 t.sensed.push((step, errors));
                 t.senses += 1;
@@ -1345,7 +1349,7 @@ impl Ssd {
 
     fn execute_actions(&mut self, txn: TxnId, actions: Actions) {
         let die_idx = self.txns[txn.0 as usize].loc.die_global;
-        for a in actions.iter() {
+        for a in actions {
             match a {
                 ReadAction::Sense { step } => {
                     self.dies[die_idx as usize]
