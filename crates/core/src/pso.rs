@@ -147,7 +147,7 @@ impl<C: RetryController> PsoController<C> {
             .get(ctx.txn)
             .expect("mapping for unknown PSO read");
         let mut out = Actions::new();
-        for a in actions {
+        for &a in actions.as_slice() {
             match a {
                 ReadAction::Sense { step } => out.push(ReadAction::Sense {
                     step: step + state.offset,
@@ -167,7 +167,7 @@ impl<C: RetryController> PsoController<C> {
                     s.offset = 0;
                     s.fell_back = true;
                     let restart = self.inner.on_start(ctx);
-                    for r in restart {
+                    for &r in restart.as_slice() {
                         out.push(r);
                     }
                 }

@@ -31,11 +31,10 @@ enum Outcome {
     Failure,
 }
 
-/// Passes a callback's response through, checking it fits the bounded
-/// action list.
-fn bounded(actions: Actions) -> Actions {
+/// A callback's response, checked to fit the bounded action list.
+fn bounded(actions: Actions) -> Vec<ReadAction> {
     assert!(actions.len() <= Actions::CAPACITY, "{actions:?}");
-    actions
+    actions.to_vec()
 }
 
 /// A timing-free protocol driver with a configurable decode lag: decodes for
@@ -61,7 +60,7 @@ fn drive(
     let mut awaiting_feature = false;
     let mut outcome = None;
 
-    let mut actions: VecDeque<ReadAction> = bounded(controller.on_start(ctx)).into_iter().collect();
+    let mut actions: VecDeque<ReadAction> = bounded(controller.on_start(ctx)).into();
     let mut guard = 0;
     while outcome.is_none() {
         guard += 1;

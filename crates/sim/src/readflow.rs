@@ -126,18 +126,14 @@ impl Actions {
         self.len == 0
     }
 
+    /// The actions in push order.
+    pub fn as_slice(&self) -> &[ReadAction] {
+        &self.slots[..self.len as usize]
+    }
+
     /// Collects into a `Vec` (test/diagnostic convenience).
     pub fn to_vec(&self) -> Vec<ReadAction> {
-        self.into_iter().collect()
-    }
-}
-
-impl IntoIterator for Actions {
-    type Item = ReadAction;
-    type IntoIter = std::iter::Take<std::array::IntoIter<ReadAction, { Actions::CAPACITY }>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.slots.into_iter().take(self.len as usize)
+        self.as_slice().to_vec()
     }
 }
 
@@ -407,7 +403,7 @@ mod tests {
                 .map(|step| ReadAction::Sense { step })
                 .collect::<Vec<_>>()
         );
-        assert_eq!(a.into_iter().collect::<Vec<_>>(), copy.to_vec());
+        assert_eq!(a.as_slice(), &copy.to_vec()[..]);
         let pair = Actions::pair(ReadAction::Reset, ReadAction::CompleteFailure);
         assert_eq!(
             pair.to_vec(),

@@ -1349,7 +1349,7 @@ impl<C: RetryController> Ssd<C> {
 
     fn execute_actions(&mut self, txn: TxnId, actions: Actions) {
         let die_idx = self.txns[txn.0 as usize].loc.die_global;
-        for a in actions {
+        for &a in actions.as_slice() {
             match a {
                 ReadAction::Sense { step } => {
                     self.dies[die_idx as usize]
