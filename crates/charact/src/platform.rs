@@ -10,7 +10,7 @@
 //! and retention baking.
 
 use rr_flash::calibration::{arrhenius_acceleration, OperatingCondition};
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{round_u32, ErrorModel, PageId};
 use rr_flash::geometry::ChipGeometry;
 use rr_flash::timing::SensePhases;
 use rr_util::rng::Rng;
@@ -239,7 +239,7 @@ impl PageSweep<'_> {
             .iter()
             .map(|p| {
                 let penalty = max_penalty[p.chip] * p.penalty_factor;
-                (p.final_errors as f64 + penalty).round() as u32
+                round_u32(p.final_errors as f64 + penalty)
             })
             .max()
             .unwrap_or(0)

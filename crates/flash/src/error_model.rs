@@ -389,11 +389,7 @@ impl ErrorModel {
 #[inline]
 pub fn round_u32(x: f64) -> u32 {
     let t = x as u32;
-    if x - t as f64 >= 0.5 {
-        t.saturating_add(1)
-    } else {
-        t
-    }
+    t.saturating_add(u32::from(x - f64::from(t) >= 0.5))
 }
 
 /// Raw bit errors at `step` before the timing penalty; `jitter` (in
