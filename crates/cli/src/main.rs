@@ -24,8 +24,8 @@
 //!   sweep-rate  open-loop tail latency vs. offered load (--rate list;
 //!            same --queues/--arb/--weights/--burst/--window and
 //!            --gc-policy/--gc-budget/--gc-stress knobs as sweep-qd)
-//!   perf     simulator events/sec over matrix + sweeps → BENCH_sim.json,
-//!            gated at 0.7× the trailing-10 median of comparable runs
+//!   perf     events/sec and host req/s over matrix + sweeps → BENCH_sim.json,
+//!            each gated at 0.7× the trailing-10 median of comparable runs
 //!            (--plot renders the archived trajectory instead)
 //!   snapshot precondition the current flag set's device images once and
 //!            write them as a warm-start bank (--out img.rrimg); fig14,
@@ -596,7 +596,8 @@ fn print_help() {
          --out FILE  for snapshot: write the preconditioned device-image bank\n           (with --gc-stress: the stress image under the GC geometry;\n           otherwise every MSRC/YCSB evaluation footprint)\n\
          --from-image FILE  warm-start fig14/sweep-qd/sweep-rate/export/serve\n           from a snapshot bank instead of preconditioning — stdout is\n           byte-identical; stderr's 'precondition' phase collapses to the\n           file load\n\
          \n\
-         perf regression gate: fails below 0.7x the median of the last 10\n\
+         perf regression gate: fails when events/sec or host req/s falls\n\
+         below 0.7x its median over the last 10\n\
          comparable archived runs (same --quick/--jobs/--seed/--queue-depth/\n\
          --rate/--devices/--placement/--redundancy/\n\
          --fail-device+--fail-at-us); engages once 3 comparable runs exist —\n\

@@ -383,9 +383,11 @@ impl ErrorModel {
     }
 }
 
-/// `x.round() as u32` without the libm call: `x - trunc(x)` is exact for
-/// every `f64`, and the saturating casts reproduce the `as u32` edge cases
-/// (NaN and negatives give 0, values from `u32::MAX` up give `u32::MAX`).
+/// `x.round() as u32` without the libm call, and without a branch on the
+/// fraction. The cast truncates and saturates like `as u32` (NaN and
+/// negatives give 0); below 2³² the fraction `x - t` is exact, so comparing
+/// it with 0.5 rounds halves away from zero, and the carry saturates at
+/// `u32::MAX`.
 #[inline]
 pub fn round_u32(x: f64) -> u32 {
     let t = x as u32;

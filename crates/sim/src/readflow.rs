@@ -396,14 +396,14 @@ mod tests {
             a.push(ReadAction::Sense { step });
         }
         assert_eq!(a.len(), Actions::CAPACITY);
-        let copy = a;
+        let copy = a; // `Copy`: `a` stays usable.
+        assert_eq!(copy, a);
         assert_eq!(
-            copy.to_vec(),
+            a.to_vec(),
             (0..Actions::CAPACITY as u32)
                 .map(|step| ReadAction::Sense { step })
                 .collect::<Vec<_>>()
         );
-        assert_eq!(a.as_slice(), &copy.to_vec()[..]);
         let pair = Actions::pair(ReadAction::Reset, ReadAction::CompleteFailure);
         assert_eq!(
             pair.to_vec(),
