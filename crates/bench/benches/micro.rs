@@ -1,18 +1,13 @@
 //! Micro-benchmarks of the hot substrate paths: the discrete-event queue,
-//! the per-page error model and its decode outcome, retry-controller
-//! dispatch, BCH decoding, and workload sampling.
+//! the per-page error model and its decode outcome, BCH decoding, and
+//! workload sampling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rr_core::experiment::Mechanism;
-use rr_core::mechanisms::Pr2Controller;
-use rr_core::rpt::ReadTimingParamTable;
 use rr_ecc::bch::BchCode;
 use rr_flash::calibration::{OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{ErrorModel, PageId, PageReadProfile};
 use rr_flash::timing::SensePhases;
 use rr_sim::event::EventQueue;
-use rr_sim::readflow::{ReadContext, RetryController};
-use rr_sim::request::TxnId;
 use rr_util::dist::Zipf;
 use rr_util::rng::Rng;
 use rr_util::time::SimTime;
@@ -131,47 +126,6 @@ fn decode_outcome(c: &mut Criterion) {
     g.finish();
 }
 
-/// One PR² read that succeeds at retry step 19 (the Fig. 5 mean at
-/// (2K, 12 mo)): the `on_sense_done`/`on_decode_done` calls the engine
-/// makes per step.
-fn retry_walk<C: RetryController + ?Sized>(c: &mut C, ctx: &ReadContext) -> usize {
-    const REQUIRED: u32 = 19;
-    let mut actions = c.on_start(ctx).len();
-    for step in 0..=REQUIRED {
-        actions += c.on_sense_done(ctx, step).len();
-        actions += c.on_decode_done(ctx, step, step == REQUIRED, 30).len();
-    }
-    c.on_end(ctx, Some(REQUIRED));
-    actions
-}
-
-/// Controller callbacks through a `Box<dyn RetryController>` (the engine's
-/// default) versus on the concrete controller (the experiment runners).
-fn controller_dispatch(c: &mut Criterion) {
-    let ctx = ReadContext {
-        txn: TxnId(0),
-        die: 0,
-        condition: OperatingCondition::new(2000.0, 12.0, 30.0),
-        cold: true,
-        max_step: 40,
-    };
-    let mut g = c.benchmark_group("micro_controller_dispatch");
-    // Each iteration walks 16 reads.
-    g.bench_function("boxed_pr2_20_steps_x16", |b| {
-        let mut boxed = black_box(Mechanism::Pr2).make_controller(&ReadTimingParamTable::default());
-        b.iter(|| (0..16).map(|_| retry_walk(&mut boxed, &ctx)).sum::<usize>())
-    });
-    g.bench_function("concrete_pr2_20_steps_x16", |b| {
-        let mut concrete = Pr2Controller::new();
-        b.iter(|| {
-            (0..16)
-                .map(|_| retry_walk(&mut concrete, &ctx))
-                .sum::<usize>()
-        })
-    });
-    g.finish();
-}
-
 fn bch(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro_bch");
     g.sample_size(20);
@@ -227,7 +181,6 @@ criterion_group!(
     event_queue,
     error_model,
     decode_outcome,
-    controller_dispatch,
     bch,
     sampling
 );

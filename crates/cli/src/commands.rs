@@ -2253,10 +2253,23 @@ pub fn snapshot(opts: &Options) -> bool {
 /// Parses a serve-protocol mechanism name (the figure names of
 /// [`Mechanism::name`], case-insensitive).
 fn parse_mechanism(s: &str) -> Option<Mechanism> {
-    Mechanism::ALL
+    SERVE_MECHANISMS
         .into_iter()
         .find(|m| m.name().eq_ignore_ascii_case(s))
 }
+
+/// Every mechanism `repro serve` accepts by name.
+const SERVE_MECHANISMS: [Mechanism; 9] = [
+    Mechanism::Baseline,
+    Mechanism::Pr2,
+    Mechanism::Ar2,
+    Mechanism::PnAr2,
+    Mechanism::NoRR,
+    Mechanism::Pso,
+    Mechanism::PsoPnAr2,
+    Mechanism::EagerPnAr2,
+    Mechanism::RegularAr2,
+];
 
 /// `repro serve`: loads (or preconditions) a device-image bank once, then
 /// answers replay queries line-by-line from stdin until EOF or `quit`.
@@ -2303,7 +2316,7 @@ pub fn serve(opts: &Options) -> bool {
         }
     }
     let names: Vec<&str> = traces.iter().map(|t| t.name.as_str()).collect();
-    let mechanisms: Vec<&str> = Mechanism::ALL.iter().map(Mechanism::name).collect();
+    let mechanisms: Vec<&str> = SERVE_MECHANISMS.iter().map(Mechanism::name).collect();
     eprintln!(
         "serve: image bank ready in {:.1} ms; protocol: '<workload> <mechanism> <qd> [devices]' \
          per line, 'quit' to exit",

@@ -140,25 +140,33 @@ fn tables_and_rpt_match_golden() {
 
 #[test]
 fn closed_stdout_ends_the_run_without_a_panic() {
-    // `repro fig5 --quick | head -1`: the reader leaves after the heading,
-    // while the figure is still being computed.
+    // `repro serve` answers each query only after reading it, so the reply
+    // to a query sent after the reader left is always written to a closed
+    // pipe: the run must end with status 141 (SIGPIPE's) and no panic text.
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["fig5", "--quick"])
+        .args(["serve", "--quick"])
+        .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("repro binary starts");
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
     let mut first = String::new();
-    while first.trim().is_empty() {
-        first.clear();
-        stdout.read_line(&mut first).expect("the heading arrives");
-    }
-    assert!(first.starts_with("## Fig. 5"), "{first:?}");
+    stdout
+        .read_line(&mut first)
+        .expect("the ready line arrives");
+    assert!(first.starts_with("ready "), "{first:?}");
     drop(stdout);
+    {
+        let mut stdin = child.stdin.take().expect("stdin is piped");
+        stdin
+            .write_all(b"mds_1 Baseline 4\nquit\n")
+            .expect("stdin accepts the query");
+    }
     let out = child.wait_with_output().expect("repro exits");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
 }
 
 #[test]

@@ -82,73 +82,33 @@ impl Mechanism {
         }
     }
 
-    /// Every mechanism, in declaration order.
-    pub const ALL: [Mechanism; 9] = [
-        Mechanism::Baseline,
-        Mechanism::Pr2,
-        Mechanism::Ar2,
-        Mechanism::PnAr2,
-        Mechanism::NoRR,
-        Mechanism::Pso,
-        Mechanism::PsoPnAr2,
-        Mechanism::EagerPnAr2,
-        Mechanism::RegularAr2,
-    ];
-
-    /// Builds the retry controller implementing this mechanism and hands it,
-    /// as its concrete type, to `visitor` — the one mapping from mechanism
-    /// to controller.
-    pub fn with_controller<V: ControllerVisitor>(
-        &self,
-        rpt: &ReadTimingParamTable,
-        visitor: V,
-    ) -> V::Output {
+    /// Builds the retry controller implementing this mechanism.
+    ///
+    /// The controller is `Send` so an array run can build each device's
+    /// replica on the device worker thread that simulates it; a
+    /// single-device run takes the same box unchanged (it coerces to
+    /// `Box<dyn RetryController>`).
+    pub fn make_controller(&self, rpt: &ReadTimingParamTable) -> Box<dyn RetryController + Send> {
         match self {
-            Mechanism::Baseline | Mechanism::NoRR => visitor.visit(BaselineController::new()),
-            Mechanism::Pr2 => visitor.visit(Pr2Controller::new()),
-            Mechanism::Ar2 => visitor.visit(Ar2Controller::new(rpt.clone())),
-            Mechanism::PnAr2 => visitor.visit(PnAr2Controller::new(rpt.clone())),
-            Mechanism::Pso => visitor.visit(PsoController::new(BaselineController::new())),
-            Mechanism::PsoPnAr2 => {
-                visitor.visit(PsoController::new(PnAr2Controller::new(rpt.clone())))
-            }
-            Mechanism::EagerPnAr2 => visitor.visit(EagerPnAr2Controller::new(
+            Mechanism::Baseline | Mechanism::NoRR => Box::new(BaselineController::new()),
+            Mechanism::Pr2 => Box::new(Pr2Controller::new()),
+            Mechanism::Ar2 => Box::new(Ar2Controller::new(rpt.clone())),
+            Mechanism::PnAr2 => Box::new(PnAr2Controller::new(rpt.clone())),
+            Mechanism::Pso => Box::new(PsoController::new(BaselineController::new())),
+            Mechanism::PsoPnAr2 => Box::new(PsoController::new(PnAr2Controller::new(rpt.clone()))),
+            Mechanism::EagerPnAr2 => Box::new(EagerPnAr2Controller::new(
                 rpt.clone(),
                 ExpectedStepsTable::default(),
                 2.0,
             )),
-            Mechanism::RegularAr2 => visitor.visit(RegularAr2Controller::new(rpt.clone())),
+            Mechanism::RegularAr2 => Box::new(RegularAr2Controller::new(rpt.clone())),
         }
-    }
-
-    /// Builds the retry controller implementing this mechanism, boxed. It is
-    /// `Send` so an array run can build each device's replica on the device
-    /// worker thread that simulates it.
-    pub fn make_controller(&self, rpt: &ReadTimingParamTable) -> Box<dyn RetryController + Send> {
-        struct Boxed;
-        impl ControllerVisitor for Boxed {
-            type Output = Box<dyn RetryController + Send>;
-            fn visit<C: RetryController + Send + 'static>(self, controller: C) -> Self::Output {
-                Box::new(controller)
-            }
-        }
-        self.with_controller(rpt, Boxed)
     }
 
     /// Whether this mechanism runs on the ideal no-read-retry SSD.
     pub fn is_ideal(&self) -> bool {
         matches!(self, Mechanism::NoRR)
     }
-}
-
-/// Receives the concrete controller of a [`Mechanism`]
-/// ([`Mechanism::with_controller`]), so the caller can run the engine
-/// monomorphized over it.
-pub trait ControllerVisitor {
-    /// What the visit produces.
-    type Output;
-    /// Consumes the mechanism's controller.
-    fn visit<C: RetryController + Send + 'static>(self, controller: C) -> Self::Output;
 }
 
 /// One (P/E cycles, retention age) operating point of Fig. 14/15's x-axis.
@@ -350,7 +310,6 @@ fn run_one_prepared(
 /// [`run_one_prepared`] under an explicit multi-queue host front end,
 /// warm-started from `image` when one is given (bit-identical either way —
 /// the device image carries exactly the state preconditioning rebuilds).
-/// The engine runs monomorphized over the mechanism's concrete controller.
 fn run_one_prepared_queued(
     arena: &mut SimArena,
     cfg: &Arc<SsdConfig>,
@@ -360,30 +319,16 @@ fn run_one_prepared_queued(
     queues: &HostQueueConfig,
     image: Option<&DeviceImage>,
 ) -> SimReport {
-    struct Run<'a>(
-        &'a mut SimArena,
-        &'a Arc<SsdConfig>,
-        &'a Trace,
-        &'a HostQueueConfig,
-        Option<&'a DeviceImage>,
-    );
-    impl ControllerVisitor for Run<'_> {
-        type Output = SimReport;
-        fn visit<C: RetryController + Send + 'static>(self, controller: C) -> SimReport {
-            let Run(arena, cfg, trace, queues, image) = self;
-            Ssd::run_pooled_queued_from(
-                arena,
-                Arc::clone(cfg),
-                controller,
-                trace.footprint_pages,
-                &trace.requests,
-                queues,
-                image,
-            )
-            .expect("experiment configuration must be valid")
-        }
-    }
-    mechanism.with_controller(rpt, Run(arena, cfg, trace, queues, image))
+    Ssd::run_pooled_queued_from(
+        arena,
+        Arc::clone(cfg),
+        mechanism.make_controller(rpt),
+        trace.footprint_pages,
+        &trace.requests,
+        queues,
+        image,
+    )
+    .expect("experiment configuration must be valid")
 }
 
 /// The device-count axis of every array-aware runner: how many

@@ -187,9 +187,30 @@ impl Chip {
             .unwrap_or(self.timings.sense)
     }
 
+    /// When the die frees up (for schedulers probing availability).
+    pub fn die_busy_until(&self, die: u32) -> SimTime {
+        self.dies
+            .get(die as usize)
+            .map(|d| d.busy_until)
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Whether the die is busy at `now`.
+    pub fn die_is_busy(&self, die: u32, now: SimTime) -> bool {
+        self.dies
+            .get(die as usize)
+            .map(|d| d.is_busy(now))
+            .unwrap_or(false)
+    }
+
     /// Program/erase cycle count of a block.
     pub fn block_pec(&self, block: BlockAddr) -> u32 {
         self.blocks[self.block_index(block)].pec
+    }
+
+    /// Number of sequentially programmed pages in a block.
+    pub fn block_programmed_pages(&self, block: BlockAddr) -> u32 {
+        self.blocks[self.block_index(block)].programmed_pages
     }
 
     /// Whether a page currently holds data.

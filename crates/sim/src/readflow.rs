@@ -245,45 +245,6 @@ pub trait RetryController {
     fn name(&self) -> &str;
 }
 
-/// A boxed controller is a controller: `Ssd<Box<dyn RetryController>>` (the
-/// engine's default) dispatches dynamically, `Ssd<C>` over a concrete `C`
-/// statically, through the same engine code.
-impl<T: RetryController + ?Sized> RetryController for Box<T> {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        (**self).on_start(ctx)
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        (**self).on_sense_done(ctx, step)
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        margin: u32,
-    ) -> Actions {
-        (**self).on_decode_done(ctx, step, success, margin)
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        (**self).on_feature_applied(ctx)
-    }
-
-    fn on_reset_done(&mut self, ctx: &ReadContext) -> Actions {
-        (**self).on_reset_done(ctx)
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
-        (**self).on_end(ctx, successful_step)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 /// The regular read-retry mechanism (Fig. 12(a)): strictly sequential
 /// sense → transfer → decode → (on failure) next retry step, with default
 /// timing parameters throughout.

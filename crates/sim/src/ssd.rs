@@ -110,9 +110,7 @@ struct GcJobState {
     preemptions_left: u32,
 }
 
-/// The simulated SSD, generic over its retry controller: a concrete `C`
-/// dispatches every controller callback statically; the default boxed
-/// controller dispatches dynamically through the same engine code.
+/// The simulated SSD.
 ///
 /// # Example
 ///
@@ -130,11 +128,11 @@ struct GcJobState {
 /// let report = ssd.run(&trace);
 /// assert_eq!(report.requests_completed, 1);
 /// ```
-pub struct Ssd<C: RetryController = Box<dyn RetryController>> {
+pub struct Ssd {
     cfg: Arc<SsdConfig>,
     ftl: Ftl,
     model: ErrorModel,
-    controller: C,
+    controller: Box<dyn RetryController>,
     events: EventQueue<Event>,
     now: SimTime,
     dies: Vec<DieState>,
@@ -214,7 +212,7 @@ impl SimArena {
     }
 }
 
-impl<C: RetryController> Ssd<C> {
+impl Ssd {
     /// Builds a preconditioned SSD: `lpn_count` logical pages are mapped and
     /// carry the configured retention age (cold data).
     ///
@@ -227,7 +225,7 @@ impl<C: RetryController> Ssd<C> {
     /// Propagates configuration/footprint validation errors.
     pub fn new(
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
     ) -> Result<Self, String> {
         Self::assemble(&mut SimArena::new(), cfg.into(), controller, lpn_count)
@@ -238,7 +236,7 @@ impl<C: RetryController> Ssd<C> {
     fn assemble(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
     ) -> Result<Self, String> {
         Self::assemble_from(arena, cfg, controller, lpn_count, None)
@@ -253,7 +251,7 @@ impl<C: RetryController> Ssd<C> {
     fn assemble_from(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
         image: Option<&DeviceImage>,
     ) -> Result<Self, String> {
@@ -377,7 +375,7 @@ impl<C: RetryController> Ssd<C> {
     pub fn run_pooled(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
         trace: &[HostRequest],
         mode: ReplayMode,
@@ -406,7 +404,7 @@ impl<C: RetryController> Ssd<C> {
     pub fn run_pooled_queued(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
@@ -432,7 +430,7 @@ impl<C: RetryController> Ssd<C> {
     pub fn run_pooled_queued_from(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
@@ -453,7 +451,7 @@ impl<C: RetryController> Ssd<C> {
     pub(crate) fn run_pooled_queued_collected_from(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
-        controller: C,
+        controller: Box<dyn RetryController>,
         lpn_count: u64,
         trace: &[HostRequest],
         queues: &HostQueueConfig,

@@ -104,6 +104,12 @@ impl Rng {
         result
     }
 
+    /// Returns the next 32 pseudo-random bits.
+    #[inline]
+    pub fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -566,57 +566,3 @@ fn events_processed_is_deterministic_and_nonzero() {
     // Every request needs at least an arrival event plus flash work.
     assert!(a.events_processed > a.requests_completed);
 }
-
-#[test]
-fn static_controller_dispatch_matches_the_boxed_controller_for_every_mechanism() {
-    // The runners monomorphize the engine over each mechanism's concrete
-    // controller; a boxed controller through `Ssd::new` must report the
-    // same bits, open loop, closed loop at QD 16, and under GC stress.
-    let rpt = ReadTimingParamTable::default();
-    let point = OperatingPoint::new(2000.0, 12.0);
-    let mut stress = base_cfg();
-    stress.chip.blocks_per_plane = 16;
-    stress.chip.pages_per_block = 12;
-    let stress_trace = ssd_readretry::workloads::synth::gc_stress_trace(stress.max_lpns(), 1_500);
-    let cases = [
-        (
-            base_cfg(),
-            MsrcWorkload::Mds1.synthesize(250, 9),
-            Mode::OpenLoop,
-        ),
-        (
-            base_cfg(),
-            YcsbWorkload::C.synthesize(250, 9),
-            Mode::closed_loop(16),
-        ),
-        (stress, stress_trace, Mode::closed_loop(16)),
-    ];
-    for (i, (base, trace, mode)) in cases.iter().enumerate() {
-        let mut gc_collections = 0;
-        for mechanism in Mechanism::ALL {
-            let statically = run_one_with_mode(base, mechanism, point, trace, &rpt, *mode);
-            let mut cfg = base.clone().with_condition(
-                ssd_readretry::flash::calibration::OperatingCondition::new(
-                    point.pec,
-                    point.retention_months,
-                    base.condition.temp_c,
-                ),
-            );
-            cfg.ideal_no_retry = mechanism.is_ideal();
-            let boxed = Ssd::new(cfg, mechanism.make_controller(&rpt), trace.footprint_pages)
-                .expect("valid configuration")
-                .run_with(&trace.requests, *mode);
-            assert_eq!(
-                statically,
-                boxed,
-                "static dispatch diverged for {} on {} under {mode:?}",
-                mechanism.name(),
-                trace.name
-            );
-            gc_collections += statically.gc_collections;
-        }
-        if i == 2 {
-            assert!(gc_collections > 0, "the stress case must collect garbage");
-        }
-    }
-}
